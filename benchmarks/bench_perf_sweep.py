@@ -19,8 +19,7 @@ fan-out are all included.  Three scenario groups:
   ``REPRO_ENGINE=fast`` (vectorized kernels).  Both modes print
   byte-identical figures — the comparison is pure wall-clock.
 * **Kernel backends** (same warm sweeps): ``REPRO_ENGINE=fast`` under
-  every ``REPRO_BACKEND`` available in this interpreter, so the
-  compiled (and, where installed, numba) tiers get their own rows.
+  every ``REPRO_BACKEND``, so the compiled tier gets its own rows.
 
 Results land in ``benchmarks/results/BENCH_perf_sweep.json`` as one
 machine-readable record: per-figure wall-clock, engine mode, backend
@@ -55,11 +54,11 @@ BACKEND_REPEATS = int(os.environ.get("BENCH_BACKEND_REPEATS", "3"))
 ENGINE_FIGURES = ("fig8", "fig9")
 
 
-def _available_backends() -> list:
+def _backends() -> list:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     try:
-        from repro.core.backends import available_backends
-        return list(available_backends())
+        from repro.core.backends import BACKEND_MODES
+        return list(BACKEND_MODES)
     finally:
         sys.path.pop(0)
 
@@ -95,7 +94,7 @@ def _scenario(figure: str, engine: str, cache: str, jobs: int,
 
 def measure() -> dict:
     n_cpus = os.cpu_count() or 1
-    backends = _available_backends()
+    backends = _backends()
     scenarios = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
         cold = _run_figure("fig6", cache_dir)

@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Prediction' (HPCA 1997)",
         epilog="Runtime environment: REPRO_ENGINE=scalar|fast selects "
                "the fetch-engine implementation (default: fast, "
-               "bit-identical to scalar); REPRO_BACKEND=numpy|compiled|"
-               "numba picks the fast tier's kernel backend; "
+               "bit-identical to scalar); REPRO_BACKEND=numpy|compiled "
+               "picks the fast tier's kernel backend; "
                "REPRO_PROFILE=1 prints per-cell phase timings to "
                "stderr. See docs/performance.md for the full knob "
                "table.")
@@ -80,11 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "REPRO_ENGINE or fast)")
         p.add_argument("--backend", choices=BACKEND_MODES, default=None,
                        help="kernel backend for the fast tier: 'numpy' "
-                            "(reference vectorized), 'compiled' "
+                            "(reference vectorized) or 'compiled' "
                             "(exec-generated shape-specialized "
-                            "kernels), or 'numba' (njit replay loop; "
-                            "degrades to compiled when numba is "
-                            "absent); all bit-identical (default: "
+                            "kernels); both bit-identical (default: "
                             "REPRO_BACKEND or numpy)")
         p.add_argument("--jobs", type=str, default=None,
                        help="worker processes for the sweep "

@@ -8,17 +8,14 @@ stats *and* full predictor state — against the scalar reference loops
 by the parity suite and the ``repro.qa`` differential oracle's backend
 axis.
 
-Registered tiers, each degrading to the next when unavailable:
+Registered tiers:
 
 * ``numpy`` (default) — the pure-numpy kernels of
-  :mod:`repro.core.fast`, always available.
+  :mod:`repro.core.fast`.
 * ``compiled`` — exec-generated kernels specialized per (geometry,
   predictor-config) cell with all shape constants folded in, persisted
-  under ``<cache>/compiled/kernels/``; falls back to ``numpy`` for
-  shapes it does not specialize (set-associative BTB targets).
-* ``numba`` — ``@njit`` tight loops over the SoA event streams;
-  registers only when :mod:`numba` imports, otherwise degrades to
-  ``compiled``.
+  under ``<cache>/compiled/kernels/``; falls back to the numpy residuals
+  for shapes it does not specialize (set-associative BTB targets).
 """
 
 from __future__ import annotations
@@ -35,19 +32,9 @@ BACKEND_ENV = "REPRO_BACKEND"
 
 BACKEND_NUMPY = "numpy"
 BACKEND_COMPILED = "compiled"
-BACKEND_NUMBA = "numba"
 
 #: Accepted values, in display order.
-BACKEND_MODES: Tuple[str, ...] = (BACKEND_NUMPY, BACKEND_COMPILED,
-                                  BACKEND_NUMBA)
-
-#: Degradation order per requested mode: the first available backend
-#: along the chain runs.  ``numpy`` is always available.
-FALLBACK_CHAINS: Dict[str, Tuple[str, ...]] = {
-    BACKEND_NUMPY: (BACKEND_NUMPY,),
-    BACKEND_COMPILED: (BACKEND_COMPILED, BACKEND_NUMPY),
-    BACKEND_NUMBA: (BACKEND_NUMBA, BACKEND_COMPILED, BACKEND_NUMPY),
-}
+BACKEND_MODES: Tuple[str, ...] = (BACKEND_NUMPY, BACKEND_COMPILED)
 
 _instances: Dict[str, "KernelBackend"] = {}
 
@@ -80,30 +67,12 @@ def get_backend(name: str) -> "KernelBackend":
         elif name == BACKEND_COMPILED:
             from .compiled import CompiledKernelBackend
             backend = CompiledKernelBackend()
-        elif name == BACKEND_NUMBA:
-            from .numba_backend import NumbaBackend
-            backend = NumbaBackend()
         else:
             raise ValueError(f"unknown backend: {name!r}")
         _instances[name] = backend
     return backend
 
 
-def resolve_backend(name: str) -> "KernelBackend":
-    """First *available* backend along ``name``'s fallback chain."""
-    for candidate in FALLBACK_CHAINS[name]:
-        backend = get_backend(candidate)
-        if backend.available():
-            return backend
-    return get_backend(BACKEND_NUMPY)
-
-
 def active_backend() -> "KernelBackend":
-    """The backend selected by ``REPRO_BACKEND``, after degradation."""
-    return resolve_backend(backend_mode())
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Modes whose backend can run in this interpreter, display order."""
-    return tuple(mode for mode in BACKEND_MODES
-                 if get_backend(mode).available())
+    """The backend selected by ``REPRO_BACKEND``."""
+    return get_backend(backend_mode())

@@ -96,10 +96,6 @@ class KernelBackend:
     #: Registry name; subclasses override.
     name = "abstract"
 
-    def available(self) -> bool:
-        """True when this backend can run in the current interpreter."""
-        return True
-
     # -- narrow kernel contract ----------------------------------------
 
     def scan_counters(self, *args: Any, **kwargs: Any) -> Any:

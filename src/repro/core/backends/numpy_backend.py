@@ -14,7 +14,7 @@ from .base import KernelBackend
 
 
 class NumpyBackend(KernelBackend):
-    """Always-available baseline backend."""
+    """Baseline backend: the pure-numpy kernels."""
 
     name = "numpy"
 

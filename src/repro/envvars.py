@@ -42,10 +42,8 @@ REGISTRY: Tuple[EnvVar, ...] = (
     EnvVar(
         name="REPRO_BACKEND",
         summary="Kernel backend for the fast engine tier: 'numpy' "
-                "(pure-numpy kernels), 'compiled' (exec-generated "
-                "shape-specialized kernels) or 'numba' (njit loops; "
-                "degrades to 'compiled' when numba is absent); all "
-                "bit-identical.",
+                "(pure-numpy kernels) or 'compiled' (exec-generated "
+                "shape-specialized kernels); both bit-identical.",
         default="numpy",
         owner="repro.core.backends",
     ),

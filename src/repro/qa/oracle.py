@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 from .. import envvars
-from ..core.backends import BACKEND_ENV, available_backends
+from ..core.backends import BACKEND_ENV, BACKEND_MODES
 from ..core.engine_mode import ENGINE_ENV
 from ..cpu.tracer_mode import TRACER_ENV
 from .cases import QACase, case_engine
@@ -210,7 +210,7 @@ def check_case(case: QACase,
     turn and requires every run to match the scalar reference bit-exact
     (stats, full predictor state, recovery log).  ``None`` keeps the
     classic two-run scalar-vs-fast check under the ambient backend; an
-    empty list expands to every backend available in this interpreter.
+    empty list expands to every registered backend.
     """
     scalar = run_mode(case, "scalar")
     fast = run_mode(case, "fast")
@@ -227,7 +227,7 @@ def check_case(case: QACase,
         return verdict  # identical refusal; no backend axis to probe
 
     if backends is not None:
-        names = backends or available_backends()
+        names = backends or BACKEND_MODES
         for name in names:
             pinned = run_mode(case, "fast", backend=name)
             verdict.backends[name] = pinned

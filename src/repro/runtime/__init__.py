@@ -1,6 +1,6 @@
 """Sweep runtime: parallel execution, resilience and persistent caching.
 
-Three pieces:
+The pieces:
 
 * :mod:`repro.runtime.cache` — a persistent on-disk trace + segmentation
   cache (``REPRO_CACHE_DIR``, default ``~/.cache/repro``) layered under
@@ -18,11 +18,14 @@ Three pieces:
   :class:`~repro.runtime.resilience.SweepReport` record of what
   degraded.  :mod:`repro.runtime.faults` injects deterministic faults
   (``REPRO_FAULT_SPEC``) so every recovery path stays testable.
-* :mod:`repro.runtime.shard` — the work-stealing shard scheduler
-  (``REPRO_SHARDS``/``REPRO_SHARD_POLICY``): cells partition into
-  shards, workers drain their home shards and steal from stragglers,
-  and journaled sweeps checkpoint per shard while staying bit-exact
-  with the serial path under any shard count.
+* :mod:`repro.runtime.shard` — the one sweep driver loop and its
+  work-stealing shard scheduler (``REPRO_SHARDS``/
+  ``REPRO_SHARD_POLICY``).  A flat sweep is a single shard; a serial
+  sweep, and the remainder of a degraded one, run on one in-process
+  worker.  Sharded sweeps partition cells into shards, workers drain
+  their home shards and steal from stragglers, and journaled sweeps
+  checkpoint per shard while staying bit-exact with the serial path
+  under any shard count.
   :mod:`repro.runtime.sim` drives the same scheduler through a seeded
   discrete-event simulation so scheduling invariants are fast,
   deterministic tests.

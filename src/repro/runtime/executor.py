@@ -41,13 +41,14 @@ _PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError,
                   NotImplementedError)
 
 
-def n_jobs(default: int = 1) -> int:
-    """Worker count from ``REPRO_JOBS``.
+def count_from_env(env: str, default: int = 1) -> int:
+    """A positive count from environment variable ``env``.
 
-    Accepted values: a positive integer, or ``auto``/``0`` for one worker
-    per CPU.  Unset (or empty) falls back to ``default`` — serial.
+    Accepted values: a positive integer, or ``auto``/``0`` for one per
+    CPU.  Unset (or empty) falls back to ``default``.  Anything else
+    raises a :class:`ValueError` naming the variable.
     """
-    raw = os.environ.get(JOBS_ENV)
+    raw = os.environ.get(env)
     if raw is None or not raw.strip():
         return default
     text = raw.strip().lower()
@@ -57,13 +58,18 @@ def n_jobs(default: int = 1) -> int:
         value = int(text)
     except ValueError:
         raise ValueError(
-            f"{JOBS_ENV} must be a positive integer or 'auto', "
+            f"{env} must be a positive integer or 'auto', "
             f"got {raw!r}") from None
     if value < 0:
-        raise ValueError(f"{JOBS_ENV} must not be negative, got {value}")
+        raise ValueError(f"{env} must not be negative, got {value}")
     if value == 0:
         return os.cpu_count() or 1
     return value
+
+
+def n_jobs(default: int = 1) -> int:
+    """Worker count from ``REPRO_JOBS`` (unset: ``default``, serial)."""
+    return count_from_env(JOBS_ENV, default)
 
 
 def unpicklable_reason(fn: Callable, cells: Sequence) -> Optional[str]:

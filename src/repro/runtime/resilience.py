@@ -28,9 +28,14 @@ the faults a long campaign actually hits:
   (``REPRO_RESUME``, default on) and merges bit-identically with an
   uninterrupted run.  The journal is deleted when the sweep completes.
 
-Per-cell outcomes (ok / retried / timed-out / failed, plus resumed) are
-recorded in a :class:`SweepReport`; the CLI prints a summary for any
-sweep that degraded and exits non-zero when cells were dropped.
+Every sweep runs through one driver,
+:func:`repro.runtime.shard.run_sweep_loop`, which hands cells to workers
+through the shard scheduler.  A flat sweep is a 1-shard plan; a sweep
+with one effective worker, and the remainder of a degraded sweep, run
+on one in-process worker (:func:`_serial_cell`).  Per-cell outcomes (ok
+/ retried / timed-out / failed, plus resumed) are recorded in a
+:class:`SweepReport`; the CLI prints a summary for any sweep that
+degraded and exits non-zero when cells were dropped.
 """
 
 from __future__ import annotations
@@ -39,15 +44,13 @@ import hashlib
 import os
 import pickle
 import shutil
-import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple)
+                    Mapping, Optional, Sequence)
 
 from . import cache, faults, profile
 
@@ -408,7 +411,7 @@ class Journal:
 
 
 # ----------------------------------------------------------------------
-# Cell attempts (serial and worker-side)
+# Cell attempts (in-process and worker-side)
 # ----------------------------------------------------------------------
 
 def _pool_cell(fn: Callable, cell, index: int, attempt: int,
@@ -427,6 +430,7 @@ def _pool_cell(fn: Callable, cell, index: int, attempt: int,
 
 def _serial_cell(fn: Callable, cell, index: int, attempt: int,
                  inject: bool):
+    """In-process attempt: hard faults degrade to retryable errors."""
     if inject:
         faults.apply_cell_faults(index, attempt, isolated=False)
     return fn(cell)
@@ -470,16 +474,6 @@ def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
         pass
 
 
-@dataclass
-class _Slot:
-    """One parallel worker slot: a single-worker pool plus in-flight cell."""
-
-    pool: Optional[ProcessPoolExecutor] = None
-    future: object = None
-    index: int = -1
-    deadline: Optional[float] = None
-
-
 def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
                   warm: Optional[Callable[[Sequence], None]] = None,
                   label: Optional[str] = None,
@@ -493,12 +487,13 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
     :class:`SweepError` when a cell fails after exhausting its retries;
     completed cells stay journaled so a rerun resumes.
 
-    ``shards`` (default ``REPRO_SHARDS``) > 1 routes dispatch through
-    the work-stealing shard scheduler of :mod:`repro.runtime.shard`:
-    cells are partitioned by ``REPRO_SHARD_POLICY``, workers drain their
-    home shards and steal from stragglers, and journaled sweeps
-    checkpoint per shard.  Results and recovery semantics are identical
-    either way — sharding only moves wall-clock, never numbers.
+    The sweep runs on ``min(jobs, pending)`` workers, one of which
+    means in-process.  ``shards`` (default ``REPRO_SHARDS``) > 1
+    partitions the cells by ``REPRO_SHARD_POLICY``: workers drain their
+    home shards and steal from stragglers, journaled sweeps checkpoint
+    per shard, and ``jobs=1`` runs one worker per shard.  Results and
+    recovery semantics are identical either way — sharding only moves
+    wall-clock, never numbers.
     """
     from . import shard as shard_mod
     from .executor import n_jobs, unpicklable_reason
@@ -533,44 +528,36 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
             outcome.status = OK
 
     pending = [i for i in range(len(cells)) if not done[i]]
-    effective = min(jobs, len(pending)) if pending else 1
-    use_shards = n_shards > 1 and len(pending) > 1
+    sharded = n_shards > 1 and len(pending) > 1
+    plan = shard_mod.partition(cells, n_shards if sharded else 1, policy)
+    workers = plan.n_shards if sharded and jobs <= 1 else jobs
+    workers = max(1, min(workers, len(pending)))
 
     try:
-        if effective > 1 or use_shards:
+        if workers > 1:
             reason = unpicklable_reason(fn, cells)
             if reason is not None:
                 warnings.warn(
                     f"sweep {label or '<unlabeled>'} falls back to "
                     f"serial execution: {reason}",
                     RuntimeWarning, stacklevel=3)
-                effective = 1
-                use_shards = False
-        if (effective > 1 or use_shards) and warm is not None:
-            try:
-                warm(cells)
-            except Exception as exc:
-                warnings.warn(
-                    f"sweep warm-up failed ({exc!r}); cells will "
-                    f"compute their own inputs", RuntimeWarning,
-                    stacklevel=3)
-        if use_shards:
-            plan = shard_mod.partition(cells, n_shards, policy)
-            workers = jobs if jobs > 1 else plan.n_shards
-            workers = min(workers, len(pending))
+                workers = 1
+                plan = shard_mod.partition(cells, 1, policy)
+            elif warm is not None:
+                try:
+                    warm(cells)
+                except Exception as exc:
+                    warnings.warn(
+                        f"sweep warm-up failed ({exc!r}); cells will "
+                        f"compute their own inputs", RuntimeWarning,
+                        stacklevel=3)
+        if plan.n_shards > 1:
             report.shards = shard_mod.ShardInfo(
                 n_shards=plan.n_shards, policy=plan.policy,
                 n_workers=workers)
-            pending = shard_mod.run_sharded_loop(
-                fn, cells, pending, results, done, report, plan,
-                workers, retries, timeout, inject_faults, journal)
-        elif effective > 1:
-            pending = _run_parallel(fn, cells, pending, results, done,
-                                    report, effective, retries, timeout,
-                                    inject_faults, journal)
-        if pending:
-            _run_serial(fn, cells, pending, results, done, report,
-                        retries, inject_faults, journal)
+        shard_mod.run_sweep_loop(fn, cells, pending, results, done,
+                                 report, plan, workers, retries, timeout,
+                                 inject_faults, journal)
     finally:
         if profiling:
             report.phase_seconds = profile.delta_since(profile_base)
@@ -596,155 +583,3 @@ def _record_success(index: int, value, results, done, report, journal,
     outcome.finish()
     if journal is not None:
         journal.record(index, value, shard=shard)
-
-
-def _run_serial(fn, cells, pending, results, done, report, retries,
-                inject, journal) -> None:
-    """Serial recovery loop (also the degraded-parallel path)."""
-    for index in pending:
-        outcome = report.outcomes[index]
-        while True:
-            attempt = outcome.attempts
-            outcome.attempts += 1
-            try:
-                value = _serial_cell(fn, cells[index], index, attempt,
-                                     inject)
-            except Exception as exc:
-                if outcome.attempts <= retries:
-                    time.sleep(_backoff(attempt))
-                    continue
-                outcome.status = FAILED
-                outcome.error = repr(exc)
-                break
-            _record_success(index, value, results, done, report, journal)
-            break
-
-
-def _run_parallel(fn, cells, pending, results, done, report, jobs,
-                  retries, timeout, inject, journal) -> List[int]:
-    """Parallel recovery loop.
-
-    Returns the (possibly empty) list of cell indexes still pending —
-    non-empty only when parallel execution degraded and the caller
-    should finish serially.
-    """
-    #: (index, ready_at) — ready_at defers retries for backoff without
-    #: blocking the dispatcher.
-    queue: List[Tuple[int, float]] = [(i, 0.0) for i in pending]
-    slots = [_Slot() for _ in range(jobs)]
-    budget = max(POOL_RESPAWN_BUDGET, 2 * jobs)
-
-    def degrade(why: str) -> List[int]:
-        for slot in slots:
-            _terminate_pool(slot.pool)
-            if slot.future is not None:
-                queue.append((slot.index, 0.0))
-            slot.pool, slot.future = None, None
-        report.degraded_serial = True
-        warnings.warn(
-            f"sweep {report.label or '<unlabeled>'} degraded to serial "
-            f"execution: {why}", RuntimeWarning, stacklevel=4)
-        return sorted(index for index, _ in queue)
-
-    def submit(slot: _Slot, index: int) -> bool:
-        outcome = report.outcomes[index]
-        attempt = outcome.attempts
-        outcome.attempts += 1
-        try:
-            if slot.pool is None:
-                slot.pool = _new_pool()
-            slot.future = slot.pool.submit(
-                _pool_cell, fn, cells[index], index, attempt, inject)
-        except (BrokenProcessPool, OSError, RuntimeError):
-            outcome.attempts -= 1  # never started; not a real attempt
-            _terminate_pool(slot.pool)
-            slot.pool, slot.future = None, None
-            return False
-        slot.index = index
-        slot.deadline = (time.monotonic() + timeout
-                         if timeout is not None else None)
-        return True
-
-    def retry_or_fail(index: int, error: str) -> None:
-        outcome = report.outcomes[index]
-        if outcome.attempts <= retries:
-            queue.append((index,
-                          time.monotonic()
-                          + _backoff(outcome.attempts - 1)))
-        else:
-            outcome.status = FAILED
-            outcome.error = error
-
-    while queue or any(slot.future is not None for slot in slots):
-        now = time.monotonic()
-        # Fill idle slots with ready work.
-        for slot in slots:
-            if slot.future is not None:
-                continue
-            choice = next((pos for pos, (_, ready) in enumerate(queue)
-                           if ready <= now), None)
-            if choice is None:
-                break
-            index, _ = queue.pop(choice)
-            if not submit(slot, index):
-                report.pool_respawns += 1
-                queue.append((index, now))
-                if report.pool_respawns > budget:
-                    return degrade(
-                        f"{report.pool_respawns} worker-pool failures")
-
-        busy = [slot for slot in slots if slot.future is not None]
-        if not busy:
-            if queue:  # everything is backing off; wait for the earliest
-                time.sleep(max(0.0, min(r for _, r in queue)
-                               - time.monotonic()) + 0.001)
-            continue
-
-        wait_for = None
-        deadlines = [slot.deadline for slot in busy
-                     if slot.deadline is not None]
-        if deadlines:
-            wait_for = max(0.0, min(deadlines) - time.monotonic())
-        waiting_retries = [r for _, r in queue if r > now]
-        if waiting_retries and any(s.future is None for s in slots):
-            soonest = max(0.0, min(waiting_retries) - time.monotonic())
-            wait_for = soonest if wait_for is None \
-                else min(wait_for, soonest)
-        finished, _ = wait([slot.future for slot in busy],
-                           timeout=wait_for,
-                           return_when=FIRST_COMPLETED)
-
-        now = time.monotonic()
-        for slot in busy:
-            if slot.future in finished:
-                exc = slot.future.exception()
-                index = slot.index
-                if exc is None:
-                    _record_success(index, slot.future.result(), results,
-                                    done, report, journal)
-                else:
-                    if isinstance(exc, BrokenProcessPool):
-                        # The slot's lone worker died mid-cell: respawn
-                        # the pool, re-run only this cell.
-                        report.pool_respawns += 1
-                        _terminate_pool(slot.pool)
-                        slot.pool = None
-                    retry_or_fail(index, repr(exc))
-                slot.future = None
-            elif slot.deadline is not None and now >= slot.deadline:
-                # Hung worker: kill it, respawn the slot's pool lazily.
-                index = slot.index
-                outcome = report.outcomes[index]
-                outcome.timeouts += 1
-                report.pool_respawns += 1
-                _terminate_pool(slot.pool)
-                slot.pool, slot.future = None, None
-                retry_or_fail(index,
-                              f"cell exceeded {timeout}s deadline")
-        if report.pool_respawns > budget:
-            return degrade(f"{report.pool_respawns} worker-pool failures")
-
-    for slot in slots:
-        if slot.pool is not None:
-            slot.pool.shutdown(wait=True)
-    return []

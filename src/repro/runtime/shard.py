@@ -1,9 +1,9 @@
-"""Sharded sweep scheduling: partitioning, work stealing, shard resume.
+"""Sweep scheduling: partitioning, work stealing, the one sweep driver.
 
-ROADMAP item 3: generalize the single process pool of
-:mod:`repro.runtime.executor` into a multi-host-shaped shard scheduler.
-A sweep's cells are first *partitioned* into ``REPRO_SHARDS`` shards
-(:func:`partition`, policy from ``REPRO_SHARD_POLICY``):
+Every sweep runs through :func:`run_sweep_loop`.  A sweep's cells are
+first *partitioned* into shards (:func:`partition`); a flat sweep is a
+single shard, a sharded one (``REPRO_SHARDS`` > 1) uses the policy from
+``REPRO_SHARD_POLICY``:
 
 * ``hash`` — cells land on ``sha256(pickle(cell)) % n``; stable under
   reordering of the sweep, so the same cell always homes on the same
@@ -16,21 +16,23 @@ A sweep's cells are first *partitioned* into ``REPRO_SHARDS`` shards
 
 Execution then goes through :class:`ShardScheduler` — a *pure* decision
 core with an injected clock and no I/O, shared verbatim between the real
-process driver (:func:`run_sharded_loop`) and the discrete-event testbed
-of :mod:`repro.runtime.sim`.  Each worker drains its *home* shards
-(``shard % n_workers == worker``) in FIFO order and, when those are
-empty, **steals from the longest remaining queue** (ties to the lowest
-shard id) so one straggler shard cannot serialize the sweep.  Every
-steal is recorded with a queue-depth snapshot, which is how the sim
-asserts the steal policy as an invariant rather than trusting it.
+driver (:func:`run_sweep_loop`) and the discrete-event testbed of
+:mod:`repro.runtime.sim`.  Each worker drains its *home* shards
+(``shard % n_workers == worker``; a single shard is everyone's home) in
+FIFO order and, when those are empty, **steals from the longest
+remaining queue** (ties to the lowest shard id) so one straggler shard
+cannot serialize the sweep.  Every steal is recorded with a queue-depth
+snapshot, which is how the sim asserts the steal policy as an invariant
+rather than trusting it.
 
-Fault recovery is PR 2's machinery, reused not rebuilt: the real driver
-runs each worker slot on the single-worker pools of
-:mod:`repro.runtime.resilience`, with the same retry budget, per-cell
-deadline kills, pool-respawn budget and serial degradation.  Journaled
-sweeps checkpoint per shard (``shard-<k>/cell-<i>.pkl`` under the sweep
-journal); entries are keyed by *global* cell index, so a resume may use
-a different shard count and still merge bit-exact with the serial path.
+Fault recovery is :mod:`repro.runtime.resilience`'s: with several
+workers the driver runs each slot on a single-worker process pool, with
+the same retry budget, per-cell deadline kills, pool-respawn budget and
+serial degradation; with one worker it runs cells in-process.  Journaled
+sharded sweeps checkpoint per shard (``shard-<k>/cell-<i>.pkl`` under
+the sweep journal); entries are keyed by *global* cell index, so a
+resume may use a different shard count and still merge bit-exact with
+the serial path.
 """
 
 from __future__ import annotations
@@ -41,12 +43,14 @@ import pickle
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import (FIRST_COMPLETED, Future,
+                                ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
+from .executor import count_from_env
 from .resilience import FAILED
 
 #: Environment variable: shard count for sweeps (int or 'auto').
@@ -67,29 +71,8 @@ GAVE_UP = "gave-up"
 
 
 def shard_count(default: int = 1) -> int:
-    """Shard count from ``REPRO_SHARDS``.
-
-    Accepted values: a positive integer, or ``auto``/``0`` for one shard
-    per CPU.  Unset (or empty) falls back to ``default`` — unsharded.
-    """
-    raw = os.environ.get(SHARDS_ENV)
-    if raw is None or not raw.strip():
-        return default
-    text = raw.strip().lower()
-    if text == "auto":
-        return os.cpu_count() or 1
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(
-            f"{SHARDS_ENV} must be a positive integer or 'auto', "
-            f"got {raw!r}") from None
-    if value < 0:
-        raise ValueError(
-            f"{SHARDS_ENV} must not be negative, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+    """Shard count from ``REPRO_SHARDS`` (unset: ``default``, unsharded)."""
+    return count_from_env(SHARDS_ENV, default)
 
 
 def shard_policy() -> str:
@@ -160,7 +143,9 @@ def partition(cells: Sequence, n_shards: int,
     if n == 0:
         return ShardPlan(n_shards=1, policy=policy, assignment=())
     n_shards = max(1, min(int(n_shards), n))
-    if policy == "hash":
+    if n_shards == 1:
+        assignment = [0] * n
+    elif policy == "hash":
         assignment = [_cell_digest(cell, i) % n_shards
                       for i, cell in enumerate(cells)]
     elif policy == "range":
@@ -191,7 +176,13 @@ def partition(cells: Sequence, n_shards: int,
 
 def home_shards(worker: int, n_shards: int, n_workers: int
                 ) -> Tuple[int, ...]:
-    """Shards worker ``worker`` owns: ``shard % n_workers == worker``."""
+    """Shards worker ``worker`` owns: ``shard % n_workers == worker``.
+
+    A 1-shard plan (a flat sweep) is every worker's home, so its workers
+    share one FIFO queue and never steal.
+    """
+    if n_shards == 1:
+        return (0,)
     return tuple(s for s in range(n_shards) if s % n_workers == worker)
 
 
@@ -311,7 +302,8 @@ class ShardScheduler:
         outcome = self.outcomes[cell]
         attempt = outcome.attempts
         outcome.attempts += 1
-        outcome.shard = self.plan.assignment[cell]
+        if self.plan.n_shards > 1:
+            outcome.shard = self.plan.assignment[cell]
         if stolen:
             outcome.stolen = True
         assignment = Assignment(cell=cell,
@@ -446,53 +438,86 @@ class ShardInfo:
 
 
 # ----------------------------------------------------------------------
-# The real process driver
+# The sweep driver
 # ----------------------------------------------------------------------
 
-def run_sharded_loop(fn: Callable, cells: Sequence,
-                     pending: Sequence[int], results: List,
-                     done: List[bool], report, plan: ShardPlan,
-                     n_workers: int, retries: int,
-                     timeout: Optional[float], inject: bool,
-                     journal) -> List[int]:
-    """Drive :class:`ShardScheduler` over real worker processes.
+@dataclass
+class _Worker:
+    """One worker slot: a single-worker process pool, or this process.
 
-    The execution substrate is :mod:`repro.runtime.resilience`'s —
-    single-worker pools per slot, deadline kills, pool respawn under the
-    same budget, and per-shard journal checkpoints.  Returns the cell
-    indexes still pending, non-empty only when the sweep degraded and
-    the caller should finish serially (exactly the ``_run_parallel``
-    contract).
+    An in-process slot runs its cell synchronously inside :meth:`start`,
+    so its future is already done when the loop waits on it; it has no
+    deadline and no pool to respawn.
+    """
+
+    in_process: bool
+    pool: Optional[ProcessPoolExecutor] = None
+    future: Optional[Future] = None
+    deadline: Optional[float] = None
+
+    def start(self, fn: Callable, cell: object, assignment: Assignment,
+              inject: bool, shard: Optional[int],
+              timeout: Optional[float]) -> None:
+        from . import resilience as res
+
+        if self.in_process:
+            self.future = Future()
+            try:
+                value = res._serial_cell(fn, cell, assignment.cell,
+                                         assignment.attempt, inject)
+            except Exception as exc:
+                self.future.set_exception(exc)
+            else:
+                self.future.set_result(value)
+            return
+        if self.pool is None:
+            self.pool = res._new_pool()
+        self.future = self.pool.submit(
+            res._pool_cell, fn, cell, assignment.cell, assignment.attempt,
+            inject, shard)
+        self.deadline = (time.monotonic() + timeout
+                         if timeout is not None else None)
+
+    def kill(self) -> None:
+        """Kill the slot's worker; its pool respawns on the next start."""
+        from . import resilience as res
+
+        res._terminate_pool(self.pool)
+        self.pool, self.future = None, None
+
+
+def run_sweep_loop(fn: Callable, cells: Sequence,
+                   pending: Sequence[int], results: List,
+                   done: List[bool], report, plan: ShardPlan,
+                   n_workers: int, retries: int,
+                   timeout: Optional[float], inject: bool,
+                   journal) -> None:
+    """Run ``pending`` cells of a sweep: the one sweep driver.
+
+    :class:`ShardScheduler` decides which worker runs which cell.  With
+    more than one worker each slot owns a single-worker process pool,
+    with the retry budget, per-cell deadline kills and pool-respawn
+    budget of :mod:`repro.runtime.resilience`.  A single worker runs
+    cells in this process through ``_serial_cell``, with no deadline.
+    A flat sweep is a 1-shard plan: its workers share one queue, never
+    steal, and journal and label cells without a shard.  When pools keep
+    dying the sweep degrades: the remaining cells finish flat on one
+    in-process worker, as a serial sweep would.
     """
     from . import resilience as res
 
+    sharded = plan.n_shards > 1
     scheduler = ShardScheduler(plan, pending, n_workers, retries,
                                clock=time.monotonic,
                                outcomes=report.outcomes,
                                backoff=res._backoff)
-    slots = [res._Slot() for _ in range(n_workers)]
-    budget = max(res.POOL_RESPAWN_BUDGET, 2 * n_workers)
-    info = report.shards
+    slots = [_Worker(in_process=n_workers == 1) for _ in range(n_workers)]
+    # Respawns this loop may add before degrading; an in-process worker
+    # adds none.
+    budget = (report.pool_respawns
+              + max(res.POOL_RESPAWN_BUDGET, 2 * n_workers))
 
-    def finalize_info() -> None:
-        if info is not None:
-            info.steals = len(scheduler.steals)
-            info.cells_done = scheduler.shard_progress()
-
-    def degrade(why: str) -> List[int]:
-        for slot in slots:
-            res._terminate_pool(slot.pool)
-            slot.pool, slot.future = None, None
-        for worker in list(scheduler.inflight):
-            scheduler.abandon(worker)
-        report.degraded_serial = True
-        finalize_info()
-        warnings.warn(
-            f"sweep {report.label or '<unlabeled>'} degraded to serial "
-            f"execution: {why}", RuntimeWarning, stacklevel=4)
-        return scheduler.remaining()
-
-    while not scheduler.finished:
+    while not scheduler.finished and report.pool_respawns <= budget:
         # Fill idle worker slots from the scheduler.
         for worker, slot in enumerate(slots):
             if slot.future is not None:
@@ -501,30 +526,20 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
             if assignment is None:
                 continue
             try:
-                if slot.pool is None:
-                    slot.pool = res._new_pool()
-                slot.future = slot.pool.submit(
-                    res._pool_cell, fn, cells[assignment.cell],
-                    assignment.cell, assignment.attempt, inject,
-                    assignment.shard)
+                slot.start(fn, cells[assignment.cell], assignment, inject,
+                           assignment.shard if sharded else None, timeout)
             except (BrokenProcessPool, OSError, RuntimeError):
                 scheduler.unacquire(worker)
                 report.pool_respawns += 1
-                res._terminate_pool(slot.pool)
-                slot.pool, slot.future = None, None
+                slot.kill()
                 if report.pool_respawns > budget:
-                    return degrade(
-                        f"{report.pool_respawns} worker-pool failures")
-                continue
-            slot.index = assignment.cell
-            slot.deadline = (time.monotonic() + timeout
-                             if timeout is not None else None)
+                    break
+        if report.pool_respawns > budget:
+            break
 
         busy = [(w, s) for w, s in enumerate(slots)
                 if s.future is not None]
         if not busy:
-            if scheduler.finished:
-                break
             ready_at = scheduler.next_ready_at()
             if ready_at is None:
                 if scheduler.has_ready():
@@ -555,27 +570,45 @@ def run_sharded_loop(fn: Callable, cells: Sequence,
                     assignment = scheduler.complete(worker)
                     res._record_success(
                         assignment.cell, slot.future.result(), results,
-                        done, report, journal, shard=assignment.shard)
+                        done, report, journal,
+                        shard=assignment.shard if sharded else None)
                 else:
-                    if isinstance(exc, BrokenProcessPool):
+                    if (isinstance(exc, BrokenProcessPool)
+                            and slot.pool is not None):
+                        # The slot's lone worker died mid-cell: respawn
+                        # the pool, re-run only this cell.
                         report.pool_respawns += 1
-                        res._terminate_pool(slot.pool)
-                        slot.pool = None
+                        slot.kill()
                     scheduler.fail(worker, repr(exc))
                 slot.future = None
             elif slot.deadline is not None and now >= slot.deadline:
                 # Hung worker: kill it; the slot's pool respawns lazily.
                 report.pool_respawns += 1
-                res._terminate_pool(slot.pool)
-                slot.pool, slot.future = None, None
+                slot.kill()
                 scheduler.fail(worker,
                                f"cell exceeded {timeout}s deadline",
                                timed_out=True)
-        if report.pool_respawns > budget:
-            return degrade(f"{report.pool_respawns} worker-pool failures")
 
-    for slot in slots:
-        if slot.pool is not None:
-            slot.pool.shutdown(wait=True)
-    finalize_info()
-    return scheduler.remaining()
+    remaining: List[int] = []
+    if report.pool_respawns > budget:
+        for slot in slots:
+            slot.kill()
+        for worker in list(scheduler.inflight):
+            scheduler.abandon(worker)
+        report.degraded_serial = True
+        warnings.warn(
+            f"sweep {report.label or '<unlabeled>'} degraded to serial "
+            f"execution: {report.pool_respawns} worker-pool failures",
+            RuntimeWarning, stacklevel=3)
+        remaining = scheduler.remaining()
+    else:
+        for slot in slots:
+            if slot.pool is not None:
+                slot.pool.shutdown(wait=True)
+    if sharded and report.shards is not None:
+        report.shards.steals = len(scheduler.steals)
+        report.shards.cells_done = scheduler.shard_progress()
+    if remaining:
+        run_sweep_loop(fn, cells, remaining, results, done, report,
+                       partition(cells, 1, plan.policy), 1, retries,
+                       None, inject, journal)

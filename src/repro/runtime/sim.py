@@ -32,8 +32,8 @@ bit-exact (:func:`replay_trace`), giving CI a replayable corpus: a
 failing schedule uploads as an artifact and re-runs anywhere.
 
 ``python -m repro.runtime.sim --seeds N`` runs the seeded invariant
-battery (crash, hang, straggler and steady scenarios per seed, each
-simulated twice to prove determinism); ``--replay <trace.json>``
+battery (crash, hang, straggler, steady and flat-pool scenarios per
+seed, each simulated twice to prove determinism); ``--replay <trace.json>``
 re-simulates a saved trace and diffs the event logs.
 """
 
@@ -546,7 +546,8 @@ def replay_trace(path: Union[str, Path]) -> Optional[str]:
 # ----------------------------------------------------------------------
 
 #: Scenario matrix every battery seed runs: steady-state, stragglers,
-#: crash storms, and hangs rescued by deadline kills.
+#: crash storms, hangs rescued by deadline kills, and a flat (1-shard)
+#: worker pool under crashes and hangs.
 SCENARIOS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("steady", dict(n_cells=24, n_shards=4, n_workers=4)),
     ("skewed", dict(n_cells=32, n_shards=4, n_workers=3,
@@ -556,6 +557,9 @@ SCENARIOS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("hangy", dict(n_cells=16, n_shards=3, n_workers=4,
                    hang_rate=0.2, timeout=3.0, retries=5,
                    speed_model="mixed")),
+    ("flat", dict(n_cells=16, n_shards=1, n_workers=2,
+                  crash_rate=0.15, hang_rate=0.1, timeout=3.0,
+                  retries=5)),
 )
 
 

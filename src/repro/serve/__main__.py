@@ -73,9 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos", help="fault-injected campaign asserting "
                                      "bit-exact or typed outcomes")
     add_common(p)
-    p.add_argument("--output", type=Path,
-                   default=chaos_mod.DEFAULT_OUTPUT,
-                   help="machine-readable campaign summary (JSON)")
+    p.add_argument("--output", type=Path, default=None,
+                   help="write the machine-readable campaign summary "
+                        "(JSON) to this path")
 
     p = sub.add_parser("listen", help="run the JSON-lines TCP frontend")
     p.add_argument("--host", default=net.DEFAULT_HOST)
@@ -118,11 +118,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         "mismatches": len(result.mismatches),
         "untyped_failures": len(result.untyped_failures),
         "traffic": result.traffic,
-        "output": str(args.output),
+        "output": None if args.output is None else str(args.output),
     }, indent=2, sort_keys=True))
     if not result.passed:
+        where = ("rerun with --output to keep them" if args.output is None
+                 else f"in {args.output}")
         print("chaos campaign FAILED: see mismatches/untyped_failures "
-              f"in {args.output}", file=sys.stderr)
+              f"{where}", file=sys.stderr)
         return 1
     return 0
 

@@ -41,9 +41,6 @@ from .traffic import (
     run_traffic,
 )
 
-#: Default output location for the machine-readable campaign summary.
-DEFAULT_OUTPUT = Path("benchmarks/results/BENCH_serve_chaos.json")
-
 #: Digest-prefix length used in generated fault directives.
 _PREFIX = 12
 
@@ -170,8 +167,11 @@ def run_chaos(seed: int = 5, n_requests: int = 10_000,
               queue_limit: int = 12, batch_limit: int = 24,
               jobs: int = 2, deadline: float = 8.0,
               breaker_threshold: int = 3, breaker_cooldown: float = 0.5,
-              output: Optional[Path] = DEFAULT_OUTPUT) -> ChaosResult:
-    """One full campaign: oracle, faults, traffic, judgement, summary."""
+              output: Optional[Path] = None) -> ChaosResult:
+    """One full campaign: oracle, faults, traffic, judgement, summary.
+
+    The summary is written as JSON to ``output`` only when one is given.
+    """
     start = time.monotonic()
     model = model if model is not None else TrafficModel(
         pattern="zipfian", arrival="bursty", burst=96)

@@ -1,7 +1,6 @@
 """Kernel-backend registry, replay primitive, and compiled-tier tests.
 
-Covers the ``REPRO_BACKEND`` contract end to end: mode parsing and the
-degradation chains, the keyed last-write replay against a brute-force
+Covers the ``REPRO_BACKEND`` contract end to end: mode parsing, the keyed last-write replay against a brute-force
 reference, engine-level bit-exactness of every registered backend
 against the scalar loops (stats *and* full predictor state), and the
 persistence of exec-generated kernels across loaders and processes.
@@ -18,10 +17,8 @@ from repro.core import DOUBLE_SELECT, DualBlockEngine, EngineConfig, \
 from repro.core.backends import (
     BACKEND_ENV,
     BACKEND_MODES,
-    available_backends,
+    active_backend,
     backend_mode,
-    get_backend,
-    resolve_backend,
 )
 from repro.core.backends.base import replay_last_write
 from repro.core.backends.codegen import KernelLoader, KernelSpec, \
@@ -123,33 +120,17 @@ def test_backend_mode_rejects_unknown(monkeypatch):
         backend_mode()
 
 
-def test_numpy_always_available():
-    assert "numpy" in available_backends()
-    assert resolve_backend("numpy").name == "numpy"
+def test_numba_mode_is_rejected(monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV, "numba")
+    with pytest.raises(ValueError, match="REPRO_BACKEND"):
+        backend_mode()
 
 
-def test_numba_request_degrades_along_chain():
-    try:
-        import numba  # noqa: F401
-        expected = "numba"
-    except ImportError:
-        expected = "compiled"
-    assert resolve_backend("numba").name == expected
-
-
-def test_chain_degrades_to_numpy_when_everything_unavailable(monkeypatch):
-    for name in ("numba", "compiled"):
-        monkeypatch.setattr(get_backend(name), "available",
-                            lambda: False)
-    assert resolve_backend("numba").name == "numpy"
-    assert resolve_backend("compiled").name == "numpy"
-
-
-def test_compiled_unavailable_hides_it_from_numba_chain(monkeypatch):
-    monkeypatch.setattr(get_backend("compiled"), "available",
-                        lambda: False)
-    resolved = resolve_backend("numba")
-    assert resolved.name != "compiled"
+def test_numpy_always_available(monkeypatch):
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    assert active_backend().name == "numpy"
+    monkeypatch.setenv(BACKEND_ENV, "compiled")
+    assert active_backend().name == "compiled"
 
 
 # -- engine-level backend parity ---------------------------------------
@@ -194,7 +175,7 @@ def _run_case(engine_name, monkeypatch, mode, backend=None):
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
 def test_every_backend_matches_scalar(engine_name, monkeypatch):
     ref_stats, ref_state = _run_case(engine_name, monkeypatch, "scalar")
-    for backend in available_backends():
+    for backend in BACKEND_MODES:
         stats, state = _run_case(engine_name, monkeypatch, "fast",
                                  backend)
         assert stats == ref_stats, backend

@@ -1,15 +1,14 @@
 """Differential oracle backend axis: corpus replay per kernel backend.
 
 Every committed corpus artifact replays with the fast tier pinned to
-each backend available in this interpreter; the verdict demands
-bit-exact stats and full predictor state against the scalar reference
-for every one of them.  This is the regression net the compiled and
-numba tiers hang from.
+each registered backend; the verdict demands bit-exact stats and full
+predictor state against the scalar reference for every one of them.
+This is the regression net the compiled tier hangs from.
 """
 
 import pytest
 
-from repro.core.backends import BACKEND_ENV, available_backends
+from repro.core.backends import BACKEND_ENV, BACKEND_MODES
 from repro.qa.corpus import DEFAULT_CORPUS, iter_corpus
 from repro.qa.oracle import backend_mode_env, check_case, run_mode
 
@@ -26,7 +25,7 @@ def test_corpus_exists():
 def test_corpus_replays_clean_on_every_backend(path, case, reason):
     verdict = check_case(case, backends=[])
     assert verdict.passed, f"{path.name}: {verdict.reason}"
-    assert set(verdict.backends) == set(available_backends())
+    assert set(verdict.backends) == set(BACKEND_MODES)
 
 
 def test_backend_axis_records_pinned_runs():

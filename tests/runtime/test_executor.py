@@ -10,6 +10,7 @@ from repro.runtime import cache
 from repro.runtime.executor import (
     JOBS_ENV,
     SuiteSpec,
+    count_from_env,
     execute,
     n_jobs,
     run_suite_specs,
@@ -53,6 +54,12 @@ class TestNJobs:
         monkeypatch.setenv(JOBS_ENV, "-2")
         with pytest.raises(ValueError, match=JOBS_ENV):
             n_jobs()
+
+    @pytest.mark.parametrize("value", ["lots", "-1"])
+    def test_shared_parser_names_any_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SOME_COUNT", value)
+        with pytest.raises(ValueError, match="REPRO_SOME_COUNT"):
+            count_from_env("REPRO_SOME_COUNT")
 
 
 class TestExecute:

@@ -6,9 +6,11 @@ a fault fires on an exact (cell, attempt) pair, so each test proves one
 recovery transition and the bit-exactness of the recovered results.
 """
 
+import os
+
 import pytest
 
-from repro.runtime import cache, faults, resilience
+from repro.runtime import cache, faults, resilience, shard
 from repro.runtime.executor import JOBS_ENV, execute
 from repro.runtime.resilience import (
     FAILED,
@@ -31,6 +33,11 @@ EXPECTED = [x * x for x in CELLS]
 def _square(x):
     """Top-level worker so it pickles into pool processes."""
     return x * x
+
+
+def _square_and_pid(x):
+    """The square plus the id of the process that computed it."""
+    return x * x, os.getpid()
 
 
 @pytest.fixture(autouse=True)
@@ -129,12 +136,62 @@ class TestRetry:
         assert sweep.results == EXPECTED
         assert sweep.report.retried_cells == [0]
 
+    def test_serial_single_failure_retries_to_clean_results(
+            self, monkeypatch):
+        clean = run_resilient(_square, CELLS, jobs=1).results
+        monkeypatch.setenv(faults.FAULTS_ENV, "fail:cell=1,times=1")
+        sweep = run_resilient(_square, CELLS, jobs=1)
+        assert sweep.results == clean
+        assert sweep.report.outcomes[1].status == RETRIED
+        assert sweep.report.retried_cells == [1]
+
     def test_reports_are_drained_in_order(self, monkeypatch):
         run_resilient(_square, CELLS, jobs=1, label="alpha")
         run_resilient(_square, CELLS, jobs=1, label="beta")
         labels = [r.label for r in drain_reports()]
         assert labels == ["alpha", "beta"]
         assert drain_reports() == []
+
+
+class TestFlatSweeps:
+    """Flat sweeps run on a 1-shard plan but report as unsharded."""
+
+    @pytest.fixture()
+    def schedulers(self, monkeypatch):
+        made = []
+
+        class Recording(shard.ShardScheduler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(shard, "ShardScheduler", Recording)
+        return made
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_flat_sweep_reports_no_shards_or_steals(self, jobs,
+                                                    schedulers):
+        sweep = run_resilient(_square, CELLS, jobs=jobs)
+        assert sweep.results == EXPECTED
+        assert sweep.report.shards is None
+        assert [s.plan.n_shards for s in schedulers] == [1]
+        assert schedulers[0].steals == []
+        assert all(o.shard is None and not o.stolen
+                   for o in sweep.report.outcomes)
+
+    def test_single_worker_runs_in_process(self):
+        sweep = run_resilient(_square_and_pid, CELLS, jobs=1)
+        assert {pid for _, pid in sweep.results} == {os.getpid()}
+
+    def test_flat_journal_layout(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(faults.FAULTS_ENV, "fail:cell=5,times=99")
+        monkeypatch.setenv(resilience.RETRIES_ENV, "0")
+        with pytest.raises(SweepError):
+            run_resilient(_square, CELLS, jobs=2, label="flat")
+        journal = next((tmp_path / "journal").iterdir())
+        assert sorted(p.name for p in journal.iterdir()) == \
+            [f"cell-{i}.pkl" for i in range(5)]
 
 
 class TestCrashRecovery:
@@ -256,10 +313,12 @@ class TestDegradation:
         def no_pool():
             raise OSError("fork failed")
 
+        serial = run_resilient(_square_and_pid, CELLS, jobs=1).results
         monkeypatch.setattr(resilience, "_new_pool", no_pool)
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            sweep = run_resilient(_square, CELLS, jobs=4)
-        assert sweep.results == EXPECTED
+            sweep = run_resilient(_square_and_pid, CELLS, jobs=4)
+        assert sweep.results == serial  # every cell ran in this process
+        assert [square for square, _ in sweep.results] == EXPECTED
         assert sweep.report.degraded_serial
         assert sweep.report.n_ok == len(CELLS)
 

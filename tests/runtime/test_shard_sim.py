@@ -105,6 +105,25 @@ class TestInvariantsAcrossSeeds:
         result = simulate(spec)
         assert verify_invariants(result) == []
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_flat_pool_shares_one_queue_and_never_steals(self, seed):
+        spec = SimSpec(seed=seed, **dict(SCENARIOS)["flat"])
+        result = simulate(spec)
+        assert verify_invariants(result) == []
+        assert result.steals == []
+        assert all(o.shard is None and not o.stolen
+                   for o in result.outcomes)
+
+    def test_flat_scenario_meets_crashes_and_hangs(self):
+        kinds = set()
+        for seed in SEEDS:
+            spec = SimSpec(seed=seed, **dict(SCENARIOS)["flat"])
+            events = simulate(spec).events
+            kinds.update(event.kind for event in events)
+            assert {e.worker for e in events if e.kind == "assign"} \
+                == {0, 1}
+        assert {"crash", "timeout", "respawn"} <= kinds
+
     def test_skewed_costs_provoke_steals(self):
         stole = 0
         for seed in SEEDS:

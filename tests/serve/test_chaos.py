@@ -1,5 +1,6 @@
 """Chaos campaigns: planning determinism and the bit-exact invariant."""
 
+import inspect
 import json
 
 import pytest
@@ -40,6 +41,17 @@ class TestPlanning:
 
 
 class TestCampaign:
+    def test_default_arguments_write_no_file(self, qa_seed, tmp_path,
+                                             monkeypatch):
+        assert inspect.signature(run_chaos).parameters["output"] \
+            .default is None
+        monkeypatch.chdir(tmp_path)
+        result = run_chaos(seed=qa_seed, n_requests=40, universe_size=4,
+                           budget=2000, queue_limit=8, batch_limit=8,
+                           jobs=2, deadline=5.0)
+        assert result.n_served_checked > 0
+        assert list(tmp_path.rglob("*")) == []
+
     def test_small_campaign_passes_and_writes_summary(self, qa_seed,
                                                       tmp_path):
         output = tmp_path / "BENCH_serve_chaos.json"
