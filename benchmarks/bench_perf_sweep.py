@@ -18,16 +18,12 @@ fan-out are all included.  Three scenario groups:
   under ``REPRO_ENGINE=scalar`` (reference loops) and
   ``REPRO_ENGINE=fast`` (vectorized kernels).  Both modes print
   byte-identical figures — the comparison is pure wall-clock.
-* **Kernel backends** (same warm sweeps): ``REPRO_ENGINE=fast`` under
-  every ``REPRO_BACKEND``, so the compiled tier gets its own rows.
 
 Results land in ``benchmarks/results/BENCH_perf_sweep.json`` as one
-machine-readable record: per-figure wall-clock, engine mode, backend
-and cache state for every scenario, plus the scalar/fast and
-per-backend speedups.  The module runs standalone
-(``python benchmarks/bench_perf_sweep.py``) or under pytest; either way
-it fails if the fast engine regresses below scalar or the compiled
-backend regresses below numpy.
+machine-readable record: per-figure wall-clock, engine mode and cache
+state for every scenario, plus the scalar/fast speedup.  The module
+runs standalone (``python benchmarks/bench_perf_sweep.py``) or under
+pytest; either way it fails if the fast engine regresses below scalar.
 """
 
 from __future__ import annotations
@@ -44,34 +40,23 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_perf_sweep.json"
 BUDGET = int(os.environ.get("REPRO_TRACE_LEN", "120000"))
 
-#: Repeats per backend-comparison cell; the row records the minimum
+#: Repeats per fast-engine comparison cell; the row records the minimum
 #: (subprocess wall-clock on shared hosts is noisy, the minimum is the
 #: stable statistic).  The scalar rows stay single-shot — at the
 #: default budget the scalar fig8 sweep alone runs for minutes.
-BACKEND_REPEATS = int(os.environ.get("BENCH_BACKEND_REPEATS", "3"))
+FAST_REPEATS = int(os.environ.get("BENCH_FAST_REPEATS", "3"))
 
 #: The engine-kernel comparison sweeps (the paper's headline figures).
 ENGINE_FIGURES = ("fig8", "fig9")
 
 
-def _backends() -> list:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.core.backends import BACKEND_MODES
-        return list(BACKEND_MODES)
-    finally:
-        sys.path.pop(0)
-
-
 def _run_figure(figure: str, cache_dir: str, jobs: str = "1",
-                engine: str = "fast", backend: str = "numpy",
-                shards: str = "1") -> float:
+                engine: str = "fast", shards: str = "1") -> float:
     env = dict(os.environ,
                PYTHONPATH=str(REPO_ROOT / "src"),
                REPRO_CACHE_DIR=cache_dir,
                REPRO_JOBS=jobs,
                REPRO_ENGINE=engine,
-               REPRO_BACKEND=backend,
                REPRO_SHARDS=shards,
                REPRO_TRACE_LEN=str(BUDGET))
     start = time.perf_counter()
@@ -85,16 +70,13 @@ def _run_figure(figure: str, cache_dir: str, jobs: str = "1",
 
 
 def _scenario(figure: str, engine: str, cache: str, jobs: int,
-              seconds: float, backend: str = "numpy",
-              shards: int = 1) -> dict:
-    return {"figure": figure, "engine": engine, "backend": backend,
-            "cache": cache, "jobs": jobs, "shards": shards,
-            "seconds": round(seconds, 3)}
+              seconds: float, shards: int = 1) -> dict:
+    return {"figure": figure, "engine": engine, "cache": cache,
+            "jobs": jobs, "shards": shards, "seconds": round(seconds, 3)}
 
 
 def measure() -> dict:
     n_cpus = os.cpu_count() or 1
-    backends = _backends()
     scenarios = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
         cold = _run_figure("fig6", cache_dir)
@@ -121,20 +103,14 @@ def measure() -> dict:
             t = _run_figure(figure, cache_dir, engine="scalar")
             scenarios.append(_scenario(figure, "scalar", "warm", 1, t))
             scalar_s += t
-        backend_s = {}
-        for backend in backends:
-            total = 0.0
-            for figure in ENGINE_FIGURES:
-                times = [_run_figure(figure, cache_dir, backend=backend)
-                         for _ in range(BACKEND_REPEATS)]
-                t = min(times)
-                row = _scenario(figure, "fast", "warm", 1, t,
-                                backend=backend)
-                row["repeats"] = [round(x, 3) for x in times]
-                scenarios.append(row)
-                total += t
-            backend_s[backend] = total
-    fast_s = backend_s["numpy"]
+        fast_s = 0.0
+        for figure in ENGINE_FIGURES:
+            times = [_run_figure(figure, cache_dir)
+                     for _ in range(FAST_REPEATS)]
+            row = _scenario(figure, "fast", "warm", 1, min(times))
+            row["repeats"] = [round(x, 3) for x in times]
+            scenarios.append(row)
+            fast_s += min(times)
     return {
         "budget": BUDGET,
         "cpus": n_cpus,
@@ -156,14 +132,6 @@ def measure() -> dict:
             "scalar_s": round(scalar_s, 3),
             "fast_s": round(fast_s, 3),
             "fast_speedup": round(scalar_s / fast_s, 2),
-            "backends": {
-                name: {
-                    "seconds": round(total, 3),
-                    "speedup_vs_scalar": round(scalar_s / total, 2),
-                    "speedup_vs_numpy": round(fast_s / total, 2),
-                }
-                for name, total in backend_s.items()
-            },
         },
     }
 
@@ -175,26 +143,17 @@ def _record(results: dict) -> None:
 
 
 def _check(results: dict) -> None:
-    # A warm cache must beat interpreting every trace from scratch, the
-    # vectorized engine must never regress below the scalar loops, and
-    # the compiled backend must never regress below plain numpy.
+    # A warm cache must beat interpreting every trace from scratch and
+    # the vectorized engine must never regress below the scalar loops.
     assert results["warm_s"] < results["cold_s"]
     comparison = results["engine_comparison"]
     assert comparison["fast_s"] < comparison["scalar_s"], (
         f"fast engine regressed: {comparison['fast_s']}s vs scalar "
         f"{comparison['scalar_s']}s")
-    backends = comparison["backends"]
-    if "compiled" in backends:
-        assert (backends["compiled"]["seconds"]
-                < backends["numpy"]["seconds"]), (
-            f"compiled backend regressed: "
-            f"{backends['compiled']['seconds']}s vs numpy "
-            f"{backends['numpy']['seconds']}s")
     seen = set()
     for scenario in results["scenarios"]:
-        key = (scenario["figure"], scenario["engine"],
-               scenario["backend"], scenario["cache"], scenario["jobs"],
-               scenario["shards"])
+        key = (scenario["figure"], scenario["engine"], scenario["cache"],
+               scenario["jobs"], scenario["shards"])
         assert key not in seen, f"duplicate scenario row: {key}"
         seen.add(key)
 

@@ -11,9 +11,9 @@ tables, and per-line ``# reprolint: disable=RULE`` pragmas.
 
 Rule identifiers are ``REP`` + three digits; the hundreds digit groups
 them by checker (1xx determinism, 2xx dtype-safety, 3xx parity
-contract, 4xx env registry, 5xx exception hygiene, 6xx async-safety,
-7xx generated-kernel contract).  Selection matches by prefix, so
-``--select REP1`` enables every determinism rule.
+contract, 4xx env registry, 5xx exception hygiene, 6xx async-safety).
+Selection matches by prefix, so ``--select REP1`` enables every
+determinism rule.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ FAMILIES: Dict[str, str] = {
     "4": "env",
     "5": "exceptions",
     "6": "async",
-    "7": "kernel",
 }
 
 
@@ -362,11 +361,9 @@ def filter_findings(raw: Iterable[Finding], config: LintConfig,
                     ) -> List[Finding]:
     """Post-filter raw findings: selection, per-path tables, pragmas.
 
-    One code path for every finding source — files on disk and
-    generated kernel sources alike — so ``--select``/``--ignore``
-    prefixes and ``# reprolint: disable=RULE`` pragmas behave
-    uniformly.  ``lines_by_rel`` supplies source lines for paths that
-    do not exist on disk (synthetic ``<generated:...>`` names).
+    ``lines_by_rel`` maps each linted path to its source lines for the
+    ``# reprolint: disable=RULE`` pragma check (a path missing from it
+    is read from disk).
     """
     findings: List[Finding] = []
     for finding in raw:

@@ -13,18 +13,17 @@ The scalar loops in ``single.py``/``dual.py``/``multi.py``/
 ``two_ahead.py`` remain the readable ground truth; the engines
 dispatch here based on :func:`repro.core.engine_mode.use_fast_engine`.
 
-Since the backend tier (``REPRO_BACKEND``, :mod:`repro.core.backends`)
-each run is split into a backend-shared ``_prep_*`` front half (counter
-scan, divergence charges, RAS replay — everything vectorizable without
-aliasing state) and a per-backend residual that replays the
-select-table and target-array event streams: ``_residual_*_numpy``
-below is the reference serial form, the ``compiled`` backend replaces
-it with exec-generated keyed-replay kernels.
+Each run is split into a ``_prep_*`` front half (counter scan,
+divergence charges, RAS replay — everything vectorizable without
+aliasing state) and a ``_residual_*`` back half that replays the
+select-table and target-array event streams through the keyed
+last-write replay (:func:`repro.core.kernels.replay_last_write`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from ..icache.geometry import SELF_ALIGNED
 from ..predictors.evaluate import packed_history
 from ..predictors.ghr import BlockOutcomes
 from ..targets.bit import BitCode
+from ..targets.btb import BlockBTB
+from ..targets.nls import DualNLSTargetArray, NLSTargetArray
 from .engine_common import K_CALL, K_COND, K_INDIRECT, K_JUMP, K_RETURN
 from .kernels import (
     CODE_COND_LONG,
@@ -41,6 +42,7 @@ from .kernels import (
     decode_selector,
     encode_selector,
     pair_conflicts,
+    replay_last_write,
     resolve_walks,
     scan_counters,
     stale_bit_windows,
@@ -100,7 +102,7 @@ class _Run:
         self.stale = None
         self.match = None    # divergence masks + residual inputs,
         self.near_ok = None  # populated by the engine preps for the
-        self.mf = None       # backend residual kernels
+        self.mf = None       # residual replay
 
     # -- PHT base indices ------------------------------------------------
 
@@ -273,21 +275,196 @@ def _line_codes_tuple(compiled: CompiledBlocks, line: int,
 
 
 # ----------------------------------------------------------------------
+# Residual replay: select tables and target arrays
+# ----------------------------------------------------------------------
+#
+# After the prep front half, what remains of every run is two keyed
+# event streams: select-table verifications (observe the stored
+# selection, then overwrite it) and target-array probes (observe the
+# stored target where the walk used it, then train it).  Tag-less
+# tables resolve both in one :func:`replay_last_write` each; only the
+# set-associative BTB targets, whose LRU lookups side-effect, keep a
+# per-event loop.
+
+def _charge_slots(stats: FetchStats, kind: PenaltyKind, hit: np.ndarray,
+                  slot: np.ndarray, cycles: np.ndarray) -> None:
+    """Charge every event in ``hit`` at its fetch slot's cycle cost."""
+    count = int(np.count_nonzero(hit))
+    if count:
+        _charge_bulk(stats, kind, count, int(cycles[slot[hit]].sum()))
+
+
+def _slot_cycles(cost, scheme: str, n_slots: int, kind: PenaltyKind,
+                 first: int = 1) -> np.ndarray:
+    """``cost(scheme, s, kind)`` for fetch slots 1..n_slots, 0-indexed.
+
+    Slots before ``first`` never see ``kind`` and read 0: Table 3 marks
+    slot-1 MISSELECT and GHR N/A under single selection.  Engines bind
+    the first three arguments once (``partial``) and pass the result as
+    their ``cycles`` table.
+    """
+    return np.array([cost(scheme, s, kind) if s >= first else 0
+                     for s in range(1, n_slots + 1)], dtype=np.int64)
+
+
+def _seed_targets(store: List[Optional[int]]) -> np.ndarray:
+    """Encoded NLS target store; -1 marks cold slots (targets are >= 0)."""
+    if store.count(None) == len(store):  # fresh array: skip the slot loop
+        return np.full(len(store), -1, dtype=np.int64)
+    return np.array([-1 if t is None else t for t in store], dtype=np.int64)
+
+
+def _btb_misses(targets, args, probe: np.ndarray, values: np.ndarray,
+                writes: np.ndarray) -> np.ndarray:
+    """Per-event replay through a set-associative BTB.
+
+    A BTB lookup refreshes LRU order, so lookups happen exactly where
+    the scalar engines make them (``probe``), in event order.
+    """
+    lookup = targets.lookup
+    update = targets.update
+    missed = np.zeros(len(values), dtype=bool)
+    for i, (key, target, look, write) in enumerate(
+            zip(args, values.tolist(), probe.tolist(), writes.tolist())):
+        if look and lookup(*key) != target:
+            missed[i] = True
+        if write:
+            update(*key, target)
+    return missed
+
+
+def _target_residual(run: _Run, stats: FetchStats, targets, arrays,
+                     todo: np.ndarray, slot: np.ndarray, anchor: np.ndarray,
+                     cycles) -> None:
+    """Replay the target array over every non-return taken exit.
+
+    ``todo`` are the exiting blocks in time order, ``slot`` their
+    0-based fetch slot (which also picks the dual/multi array half) and
+    ``anchor`` the line indexing their entry.  ``arrays`` lists the NLS
+    halves backing ``targets``, or is ``None`` for a BTB.  Mispredicted
+    targets charge misfetch ``cycles`` per slot.
+    """
+    compiled = run.compiled
+    position = compiled.exit_pc[todo] % run.line_size
+    values = compiled.exit_target[todo]
+    writes = ~run.near_ok[todo]
+    probe = run.match[todo] & (run.walk.src[todo] != SRC_NEAR)
+    if arrays is None:
+        lines = anchor.tolist()
+        positions = position.tolist()
+        args = (zip(lines, positions) if isinstance(targets, BlockBTB)
+                else zip((slot + 1).tolist(), lines, positions))
+        missed = _btb_misses(targets, args, probe, values, writes)
+    else:
+        first = arrays[0]
+        size = len(first._targets)
+        keys = slot * size + (anchor % first.n_block_entries) \
+            * first.line_size + position
+        init = np.concatenate([_seed_targets(a._targets) for a in arrays])
+        observed, fin_k, fin_v = replay_last_write(keys, values, writes,
+                                                   init)
+        for k, v in zip(fin_k.tolist(), fin_v.tolist()):
+            arrays[k // size]._targets[k % size] = v
+        missed = probe & (observed != values)
+    kind = run.mf[todo]
+    for code, penalty in ((1, PenaltyKind.MISFETCH_IMMEDIATE),
+                          (2, PenaltyKind.MISFETCH_INDIRECT)):
+        _charge_slots(stats, penalty, missed & (kind == code), slot,
+                      cycles(penalty))
+
+
+def _payload_levels(width: int) -> int:
+    """Distinct payload codes: ``pay < 2 * width + 4`` always holds."""
+    return 2 * width + 4
+
+
+def _encode_select_entry(width: int, entry: SelectEntry) -> int:
+    """A select entry packed as ``selector * levels + payload``."""
+    sel = encode_selector(width, *entry.selector)
+    pay = entry.outcomes.n_not_taken * 2 + int(entry.outcomes.ends_taken)
+    return sel * _payload_levels(width) + pay
+
+
+_DECODED: Dict[Tuple[int, int], SelectEntry] = {}
+
+
+def _decode_select_entry(width: int, packed: int) -> SelectEntry:
+    """Inverse of :func:`_encode_select_entry`, memoized.
+
+    Select entries are replaced whole, never mutated, and the
+    (width, packed) space is tiny, so write-back shares instances.
+    """
+    entry = _DECODED.get((width, packed))
+    if entry is None:
+        sel, pay = divmod(packed, _payload_levels(width))
+        entry = SelectEntry(decode_selector(width, sel),
+                            BlockOutcomes(pay // 2, bool(pay % 2)))
+        _DECODED[(width, packed)] = entry
+    return entry
+
+
+def _seed_select(width: int, entries) -> np.ndarray:
+    """Packed select-table contents.
+
+    Cold entries pack to 0 — exactly the fall-through default a cold
+    read returns — so reads need no presence check.
+    """
+    if entries.count(None) == len(entries):
+        return np.zeros(len(entries), dtype=np.int64)
+    return np.array([0 if e is None else _encode_select_entry(width, e)
+                     for e in entries], dtype=np.int64)
+
+
+def _select_residual(run: _Run, stats: FetchStats, select, tables,
+                     blocks: np.ndarray, table_of: np.ndarray,
+                     writes: np.ndarray, group: int, double: bool,
+                     cycles) -> Dict[int, int]:
+    """Replay select-table verifications; return the final entries.
+
+    Event ``i`` verifies block ``blocks[i]``'s selection against table
+    ``table_of[i]`` (one of the packed entry lists ``tables``, all
+    shaped like ``select``) at its group anchor's slot, then overwrites
+    it when ``writes[i]``.  A selector mismatch charges MISSELECT, a
+    payload-only mismatch GHR, at ``cycles`` per slot; slot 1 is
+    verified only under ``double`` selection.
+    Returns ``{table * size + slot: packed entry}`` for written slots.
+    """
+    width = run.width
+    walk = run.walk
+    size = select.n_tables * select.n_entries
+    slot = blocks % group
+    anchor = blocks - slot
+    line_table = (run.anchor_start[anchor] % run.line_size) \
+        % select.n_tables
+    keys = table_of * size + line_table * select.n_entries \
+        + (run.base[anchor] & (select.n_entries - 1))
+    sel = walk.sel[blocks]
+    packed = sel * _payload_levels(width) + walk.pay[blocks]
+    init = np.concatenate([_seed_select(width, t) for t in tables])
+    observed, fin_k, fin_v = replay_last_write(keys, packed, writes, init)
+    mis = observed // _payload_levels(width) != sel
+    first = 1 if double else 2
+    _charge_slots(stats, PenaltyKind.MISSELECT, mis, slot,
+                  cycles(PenaltyKind.MISSELECT, first))
+    _charge_slots(stats, PenaltyKind.GHR, ~mis & (observed != packed),
+                  slot, cycles(PenaltyKind.GHR, first))
+    return dict(zip(fin_k.tolist(), fin_v.tolist()))
+
+
+# ----------------------------------------------------------------------
 # Single-block engine
 # ----------------------------------------------------------------------
 
 def run_single_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`SingleBlockEngine.run` (no recovery tracking).
-
-    Dispatches to the kernel backend selected by ``REPRO_BACKEND``
-    (see :mod:`repro.core.backends`).
-    """
-    from .backends import active_backend
-    return active_backend().run_single(engine, fetch_input)
+    """Vectorized :meth:`SingleBlockEngine.run` (no recovery tracking)."""
+    run, stats = _prep_single(engine, fetch_input)
+    if run.n:
+        _residual_single(engine, run, stats)
+    return stats
 
 
 def _prep_single(engine, fetch_input) -> tuple:
-    """Backend-shared front half of the single-block run.
+    """Front half of the single-block run.
 
     Runs every vectorized phase (counter scan, BIT handling, COND and
     RETURN charges, RAS replay) and all engine-state mutation *except*
@@ -345,82 +522,18 @@ def _prep_single(engine, fetch_input) -> tuple:
     return run, stats
 
 
-def _residual_single_numpy(engine, run, stats) -> FetchStats:
-    """Reference serial residual: the tag-less/LRU target array."""
+
+def _residual_single(engine, run: _Run, stats: FetchStats) -> None:
+    """Target array (tag-less NLS or set-associative BTB)."""
     compiled = run.compiled
-    walk = run.walk
-    scheme = SINGLE_SELECT
-    mf_cycles = (0, penalty_cycles(scheme, 1,
-                                   PenaltyKind.MISFETCH_IMMEDIATE),
-                 penalty_cycles(scheme, 1, PenaltyKind.MISFETCH_INDIRECT))
+    targets = engine.targets
     todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
-    match_l = run.match.tolist()
-    src_l = walk.src.tolist()
-    near_l = run.near_ok.tolist()
-    mf_l = run.mf.tolist()
-    exit_pc_l = compiled.exit_pc.tolist()
-    target_l = compiled.exit_target.tolist()
-    line_size = run.line_size
-    lookup = engine.targets.lookup
-    update = engine.targets.update
-    imm = ind = imm_cyc = ind_cyc = 0
-    for b in todo.tolist():
-        exit_pc = exit_pc_l[b]
-        line = exit_pc // line_size
-        position = exit_pc % line_size
-        target = target_l[b]
-        if match_l[b] and src_l[b] != SRC_NEAR:
-            if lookup(line, position) != target:
-                kind = mf_l[b]
-                if kind == 1:
-                    imm += 1
-                    imm_cyc += mf_cycles[1]
-                elif kind == 2:
-                    ind += 1
-                    ind_cyc += mf_cycles[2]
-        if not near_l[b]:
-            update(line, position, target)
-    _charge_bulk(stats, PenaltyKind.MISFETCH_IMMEDIATE, imm, imm_cyc)
-    _charge_bulk(stats, PenaltyKind.MISFETCH_INDIRECT, ind, ind_cyc)
-    return stats
-
-
-# ----------------------------------------------------------------------
-# Select-table encoding shared by the dual/multi fast paths
-# ----------------------------------------------------------------------
-
-def _encode_select_entry(width: int, entry: SelectEntry):
-    sel = encode_selector(width, *entry.selector)
-    pay = entry.outcomes.n_not_taken * 2 + int(entry.outcomes.ends_taken)
-    return sel, pay
-
-
-def _decode_select_entry(width: int, sel: int, pay: int) -> SelectEntry:
-    return SelectEntry(decode_selector(width, sel),
-                       BlockOutcomes(pay // 2, bool(pay % 2)))
-
-
-def _seed_select_arrays(width: int, entries) -> (List[int], List[int]):
-    """Encoded (selector, payload) arrays mirroring a select table.
-
-    Cold entries encode to ``(0, 0)`` — exactly the fall-through
-    default a cold read returns — so reads need no presence check.
-    """
-    sels = [0] * len(entries)
-    pays = [0] * len(entries)
-    for i, entry in enumerate(entries):
-        if entry is not None:
-            sels[i], pays[i] = _encode_select_entry(width, entry)
-    return sels, pays
-
-
-def _st_slots(run: _Run) -> np.ndarray:
-    """Select-table slot of every block (anchor-indexed reads/writes)."""
-    select = getattr(run, "select_like")
-    n_tables = select.n_tables
-    n_entries = select.n_entries
-    table = (run.anchor_start % run.line_size) % n_tables
-    return table * n_entries + (run.base & (n_entries - 1))
+    _target_residual(
+        run, stats, targets,
+        [targets] if type(targets) is NLSTargetArray else None,
+        todo, np.zeros(len(todo), dtype=np.int64),
+        compiled.exit_pc[todo] // run.line_size,
+        partial(_slot_cycles, penalty_cycles, SINGLE_SELECT, 1))
 
 
 # ----------------------------------------------------------------------
@@ -428,19 +541,18 @@ def _st_slots(run: _Run) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def run_dual_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`DualBlockEngine.run` (no timeline recording).
-
-    Dispatches to the kernel backend selected by ``REPRO_BACKEND``.
-    """
-    from .backends import active_backend
-    return active_backend().run_dual(engine, fetch_input)
+    """Vectorized :meth:`DualBlockEngine.run` (no timeline recording)."""
+    run, stats = _prep_dual(engine, fetch_input)
+    if run.n:
+        _residual_dual(engine, run, stats)
+    return stats
 
 
 def _prep_dual(engine, fetch_input) -> tuple:
-    """Backend-shared front half of the dual-block run.
+    """Front half of the dual-block run.
 
     Everything up to (and including) the bank-conflict charges; the
-    residual select-table / dual-target replay is backend-specific.
+    residual select-table / dual-target replay is :func:`_residual_dual`.
     """
     run = _Run(engine, fetch_input)
     compiled = run.compiled
@@ -488,120 +600,56 @@ def _prep_dual(engine, fetch_input) -> tuple:
     return run, stats
 
 
-def _residual_dual_numpy(engine, run, stats) -> FetchStats:
-    """Reference serial residual: select table + dual target array."""
+
+def _residual_dual(engine, run: _Run, stats: FetchStats) -> None:
+    """Select table (pairs anchored at even blocks) + dual targets."""
     compiled = run.compiled
-    walk = run.walk
-    match = run.match
     n = run.n
     width = run.width
-    scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
-    run.select_like = engine.select
-    st_slot = _st_slots(run).tolist()
-    if engine.double:
-        firsts = [None if e is None else e.first
-                  for e in engine.select._entries]
-        seconds = [None if e is None else e.second
-                   for e in engine.select._entries]
-        st1_sel, st1_pay = _seed_select_arrays(width, firsts)
-        st2_sel, st2_pay = _seed_select_arrays(width, seconds)
-        ms1 = penalty_cycles(scheme, 1, PenaltyKind.MISSELECT)
-        g1 = penalty_cycles(scheme, 1, PenaltyKind.GHR)
-    else:
-        st1_sel = st1_pay = None
-        st2_sel, st2_pay = _seed_select_arrays(width,
-                                               engine.select._entries)
-    ms2 = penalty_cycles(scheme, 2, PenaltyKind.MISSELECT)
-    g2 = penalty_cycles(scheme, 2, PenaltyKind.GHR)
-
-    mf = run.mf.tolist()
-    mf_cycles = {
-        (1, s): penalty_cycles(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-        for s in (1, 2)
-    }
-    mf_cycles.update({
-        (2, s): penalty_cycles(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
-        for s in (1, 2)
-    })
-    near_ok = run.near_ok.tolist()
-    has_exit = compiled.has_exit.tolist()
-    is_ret = run.is_ret.tolist()
-    match_l = match.tolist()
-    src_l = walk.src.tolist()
-    sel_l = walk.sel.tolist()
-    pay_l = walk.pay.tolist()
-    exit_pc_l = compiled.exit_pc.tolist()
-    target_l = compiled.exit_target.tolist()
-    line0 = compiled.line0.tolist()
-    line_size = run.line_size
-    lookup = engine.targets.lookup
-    update = engine.targets.update
-    tallies: Dict[PenaltyKind, List[int]] = {}
-
-    def bump(kind: PenaltyKind, cyc: int) -> None:
-        entry = tallies.get(kind)
-        if entry is None:
-            tallies[kind] = [1, cyc]
-        else:
-            entry[0] += 1
-            entry[1] += cyc
-
-    def handle_target(b: int, which: int, slot: int,
-                      anchor_line: int) -> None:
-        if not has_exit[b] or is_ret[b]:
-            return
-        exit_pc = exit_pc_l[b]
-        position = exit_pc % line_size
-        target = target_l[b]
-        if match_l[b] and src_l[b] != SRC_NEAR:
-            if lookup(which, anchor_line, position) != target:
-                kind = mf[b]
-                if kind:
-                    bump(PenaltyKind.MISFETCH_IMMEDIATE if kind == 1
-                         else PenaltyKind.MISFETCH_INDIRECT,
-                         mf_cycles[(kind, slot)])
-        if not near_ok[b]:
-            update(which, anchor_line, position, target)
-
     double = engine.double
-    for e in range(0, n, 2):
-        slot = st_slot[e]
-        anchor_line = line0[e]
+    cycles = partial(_slot_cycles, penalty_cycles,
+                     DOUBLE_SELECT if double else SINGLE_SELECT, 2)
+    select = engine.select
+    entries = select._entries
+    # The anchor's own (first-block) selection exists only under double
+    # selection; both halves are written only once the pair completes.
+    even = np.arange(0, n, 2, dtype=np.int64)
+    paired = even + 1 < n
+    seconds = even[paired] + 1
+    ones = np.ones(len(seconds), dtype=bool)
+    if double:
+        tables = [[None if e is None else e.first for e in entries],
+                  [None if e is None else e.second for e in entries]]
+        blocks = np.concatenate([even, seconds])
+        table_of = np.concatenate([np.zeros(len(even), dtype=np.int64),
+                                   ones.astype(np.int64)])
+        writes = np.concatenate([paired, ones])
+    else:
+        tables = [entries]
+        blocks = seconds
+        table_of = np.zeros(len(seconds), dtype=np.int64)
+        writes = ones
+    final = _select_residual(run, stats, select, tables, blocks, table_of,
+                             writes, 2, double, cycles)
+    size = len(entries)
+    for k, v in final.items():
+        if k >= size:
+            continue
         if double:
-            if st1_sel[slot] != sel_l[e]:
-                bump(PenaltyKind.MISSELECT, ms1)
-            elif st1_pay[slot] != pay_l[e]:
-                bump(PenaltyKind.GHR, g1)
-        handle_target(e, which=1, slot=1, anchor_line=anchor_line)
-        o = e + 1
-        if o >= n:
-            break
-        if st2_sel[slot] != sel_l[o]:
-            bump(PenaltyKind.MISSELECT, ms2)
-        elif st2_pay[slot] != pay_l[o]:
-            bump(PenaltyKind.GHR, g2)
-        if double:
-            st1_sel[slot] = sel_l[e]
-            st1_pay[slot] = pay_l[e]
-        st2_sel[slot] = sel_l[o]
-        st2_pay[slot] = pay_l[o]
-        handle_target(o, which=2, slot=2, anchor_line=anchor_line)
-
-    for kind, (count, cycles) in tallies.items():
-        _charge_bulk(stats, kind, count, cycles)
-
-    # Select-table state write-back (exact, including repeated runs).
-    written = sorted({st_slot[e] for e in range(0, n - 1, 2)})
-    entries = engine.select._entries
-    for slot in written:
-        second = _decode_select_entry(width, st2_sel[slot], st2_pay[slot])
-        if double:
-            entries[slot] = DualSelectEntry(
-                _decode_select_entry(width, st1_sel[slot], st1_pay[slot]),
-                second)
+            entries[k] = DualSelectEntry(
+                _decode_select_entry(width, v),
+                _decode_select_entry(width, final[k + size]))
         else:
-            entries[slot] = second
-    return stats
+            entries[k] = _decode_select_entry(width, v)
+
+    targets = engine.targets
+    todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
+    slot = todo % 2
+    _target_residual(
+        run, stats, targets,
+        [targets.first, targets.second]
+        if type(targets) is DualNLSTargetArray else None,
+        todo, slot, compiled.line0[todo - slot], cycles)
 
 
 # ----------------------------------------------------------------------
@@ -609,20 +657,19 @@ def _residual_dual_numpy(engine, run, stats) -> FetchStats:
 # ----------------------------------------------------------------------
 
 def run_multi_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`MultiBlockEngine.run`.
-
-    Dispatches to the kernel backend selected by ``REPRO_BACKEND``.
-    """
-    from .backends import active_backend
-    return active_backend().run_multi(engine, fetch_input)
+    """Vectorized :meth:`MultiBlockEngine.run`."""
+    run, stats = _prep_multi(engine, fetch_input)
+    if run.n:
+        _residual_multi(engine, run, stats)
+    return stats
 
 
 def _prep_multi(engine, fetch_input) -> tuple:
-    """Backend-shared front half of the N-block run.
+    """Front half of the N-block run.
 
     Includes the bank claim-set charges (pure geometry, no predictor
-    state); the residual select-table / target-array replay is
-    backend-specific.
+    state); the select-table / target-array replay is
+    :func:`_residual_multi`.
     """
     run = _Run(engine, fetch_input)
     compiled = run.compiled
@@ -659,7 +706,7 @@ def _prep_multi(engine, fetch_input) -> tuple:
                                                  PenaltyKind.RETURN))
 
     # Bank claim sets over each group fetched together (a+1..a+n);
-    # depends only on line geometry, so it is backend-shared.
+    # depends only on line geometry, so it belongs to the front half.
     bank = [0] + [penalty_cycles_slot(scheme, s,
                                       PenaltyKind.BANK_CONFLICT)
                   for s in range(1, group + 2)]
@@ -698,118 +745,39 @@ def _prep_multi(engine, fetch_input) -> tuple:
     return run, stats
 
 
-def _residual_multi_numpy(engine, run, stats) -> FetchStats:
-    """Reference serial residual: select tables + per-slot targets."""
+
+def _residual_multi(engine, run: _Run, stats: FetchStats) -> None:
+    """Select tables (one per predicted slot) + per-slot targets."""
     compiled = run.compiled
-    walk = run.walk
-    match = run.match
     n = run.n
     group = engine.n
-    width = run.width
-    max_slot = group
-    scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
-    if engine.selects:
-        run.select_like = engine.selects[0]
-        st_slot = _st_slots(run).tolist()
-        tables = [_seed_select_arrays(width, t._entries)
-                  for t in engine.selects]
-    else:
-        st_slot = None
-        tables = []
-    # Slot-1 verification exists only under double selection (Table 3
-    # marks single/slot-1 MISSELECT and GHR N/A), so only build it there.
-    ms = [0] + [penalty_cycles_slot(scheme, s, PenaltyKind.MISSELECT)
-                if (engine.double or s >= 2) else 0
-                for s in range(1, max_slot + 1)]
-    gh = [0] + [penalty_cycles_slot(scheme, s, PenaltyKind.GHR)
-                if (engine.double or s >= 2) else 0
-                for s in range(1, max_slot + 1)]
-    mf_cycles = {}
-    for s in range(1, max_slot + 1):
-        mf_cycles[(1, s)] = penalty_cycles_slot(
-            scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-        mf_cycles[(2, s)] = penalty_cycles_slot(
-            scheme, s, PenaltyKind.MISFETCH_INDIRECT)
-
-    mf = run.mf.tolist()
-    near_ok = run.near_ok.tolist()
-    has_exit = compiled.has_exit.tolist()
-    is_ret = run.is_ret.tolist()
-    match_l = match.tolist()
-    src_l = walk.src.tolist()
-    sel_l = walk.sel.tolist()
-    pay_l = walk.pay.tolist()
-    exit_pc_l = compiled.exit_pc.tolist()
-    target_l = compiled.exit_target.tolist()
-    line0 = compiled.line0.tolist()
-    line_size = run.line_size
-    lookup = engine.targets.lookup
-    update = engine.targets.update
     double = engine.double
-    tallies: Dict[PenaltyKind, List[int]] = {}
+    cycles = partial(_slot_cycles, penalty_cycles_slot,
+                     DOUBLE_SELECT if double else SINGLE_SELECT, group)
+    selects = engine.selects
+    if selects:
+        # Table t verifies the blocks at group offset t (double: the
+        # anchor's own selection is t = 0) and overwrites every time.
+        offset = 0 if double else 1
+        parts = [np.arange(t + offset, n, group, dtype=np.int64)
+                 for t in range(len(selects))]
+        blocks = np.concatenate(parts)
+        table_of = np.concatenate(
+            [np.full(len(p), t, dtype=np.int64) for t, p in enumerate(parts)])
+        final = _select_residual(
+            run, stats, selects[0], [t._entries for t in selects], blocks,
+            table_of, np.ones(len(blocks), dtype=bool), group, double,
+            cycles)
+        size = len(selects[0]._entries)
+        for k, v in final.items():
+            selects[k // size]._entries[k % size] = \
+                _decode_select_entry(run.width, v)
 
-    def bump(kind: PenaltyKind, cyc: int) -> None:
-        entry = tallies.get(kind)
-        if entry is None:
-            tallies[kind] = [1, cyc]
-        else:
-            entry[0] += 1
-            entry[1] += cyc
-
-    def handle_target(b: int, slot: int, anchor_line: int) -> None:
-        if not has_exit[b] or is_ret[b]:
-            return
-        exit_pc = exit_pc_l[b]
-        position = exit_pc % line_size
-        target = target_l[b]
-        if match_l[b] and src_l[b] != SRC_NEAR:
-            if lookup(slot, anchor_line, position) != target:
-                kind = mf[b]
-                if kind:
-                    bump(PenaltyKind.MISFETCH_IMMEDIATE if kind == 1
-                         else PenaltyKind.MISFETCH_INDIRECT,
-                         mf_cycles[(kind, slot)])
-        if not near_ok[b]:
-            update(slot, anchor_line, position, target)
-
-    written = [set() for _ in tables]
-    for a in range(0, n, group):
-        anchor_line = line0[a]
-        slot_a = st_slot[a] if st_slot is not None else 0
-        if double:
-            t_sel, t_pay = tables[0]
-            if t_sel[slot_a] != sel_l[a]:
-                bump(PenaltyKind.MISSELECT, ms[1])
-            elif t_pay[slot_a] != pay_l[a]:
-                bump(PenaltyKind.GHR, gh[1])
-            t_sel[slot_a] = sel_l[a]
-            t_pay[slot_a] = pay_l[a]
-            written[0].add(slot_a)
-        handle_target(a, slot=1, anchor_line=anchor_line)
-        for k in range(1, group):
-            j = a + k
-            if j >= n:
-                break
-            t_sel, t_pay = tables[k] if double else tables[k - 1]
-            if t_sel[slot_a] != sel_l[j]:
-                bump(PenaltyKind.MISSELECT, ms[k + 1])
-            elif t_pay[slot_a] != pay_l[j]:
-                bump(PenaltyKind.GHR, gh[k + 1])
-            t_sel[slot_a] = sel_l[j]
-            t_pay[slot_a] = pay_l[j]
-            written[k if double else k - 1].add(slot_a)
-            handle_target(j, slot=k + 1, anchor_line=anchor_line)
-
-    for kind, (count, cycles) in tallies.items():
-        _charge_bulk(stats, kind, count, cycles)
-
-    for table, (t_sel, t_pay), touched in zip(engine.selects, tables,
-                                              written):
-        entries = table._entries
-        for slot in sorted(touched):
-            entries[slot] = _decode_select_entry(width, t_sel[slot],
-                                                 t_pay[slot])
-    return stats
+    todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
+    slot = todo % group
+    _target_residual(
+        run, stats, engine.targets, engine.targets._arrays, todo, slot,
+        compiled.line0[todo - slot], cycles)
 
 
 # ----------------------------------------------------------------------
@@ -817,16 +785,15 @@ def _residual_multi_numpy(engine, run, stats) -> FetchStats:
 # ----------------------------------------------------------------------
 
 def run_two_ahead_fast(engine, fetch_input) -> FetchStats:
-    """Vectorized :meth:`TwoBlockAheadEngine.run`.
-
-    Dispatches to the kernel backend selected by ``REPRO_BACKEND``.
-    """
-    from .backends import active_backend
-    return active_backend().run_two_ahead(engine, fetch_input)
+    """Vectorized :meth:`TwoBlockAheadEngine.run`."""
+    run, stats = _prep_two_ahead(engine, fetch_input)
+    if run.n:
+        _residual_two_ahead(engine, run, stats)
+    return stats
 
 
 def _prep_two_ahead(engine, fetch_input) -> tuple:
-    """Backend-shared front half of the two-block-ahead run."""
+    """Front half of the two-block-ahead run."""
     run = _Run(engine, fetch_input, ahead=True)
     compiled = run.compiled
     n = run.n
@@ -878,52 +845,14 @@ def _prep_two_ahead(engine, fetch_input) -> tuple:
     return run, stats
 
 
-def _residual_two_ahead_numpy(engine, run, stats) -> FetchStats:
-    """Reference serial residual: ahead-line indexed dual NLS array."""
+def _residual_two_ahead(engine, run: _Run, stats: FetchStats) -> None:
+    """Dual NLS targets indexed by each block's ahead (anchor) line."""
     compiled = run.compiled
-    walk = run.walk
-    match = run.match
-    scheme = SINGLE_SELECT
-    mf = run.mf.tolist()
-    mf_cycles = {
-        (1, s): penalty_cycles(scheme, s, PenaltyKind.MISFETCH_IMMEDIATE)
-        for s in (1, 2)
-    }
-    mf_cycles.update({
-        (2, s): penalty_cycles(scheme, s, PenaltyKind.MISFETCH_INDIRECT)
-        for s in (1, 2)
-    })
-    near_ok = run.near_ok.tolist()
-    anchor_line = (run.anchor_start // run.line_size).tolist()
-    match_l = match.tolist()
-    src_l = walk.src.tolist()
-    exit_pc_l = compiled.exit_pc.tolist()
-    target_l = compiled.exit_target.tolist()
-    line_size = run.line_size
-    lookup = engine.targets.lookup
-    update = engine.targets.update
-    tallies: Dict[PenaltyKind, List[int]] = {}
-    for b in np.nonzero(compiled.has_exit & ~run.is_ret)[0].tolist():
-        slot = 1 if b % 2 == 1 else 2
-        exit_pc = exit_pc_l[b]
-        position = exit_pc % line_size
-        target = target_l[b]
-        line = anchor_line[b]
-        if match_l[b] and src_l[b] != SRC_NEAR:
-            if lookup(slot, line, position) != target:
-                kind = mf[b]
-                if kind:
-                    key = (PenaltyKind.MISFETCH_IMMEDIATE if kind == 1
-                           else PenaltyKind.MISFETCH_INDIRECT)
-                    entry = tallies.get(key)
-                    cyc = mf_cycles[(kind, slot)]
-                    if entry is None:
-                        tallies[key] = [1, cyc]
-                    else:
-                        entry[0] += 1
-                        entry[1] += cyc
-        if not near_ok[b]:
-            update(slot, line, position, target)
-    for kind, (count, cycles) in tallies.items():
-        _charge_bulk(stats, kind, count, cycles)
-    return stats
+    targets = engine.targets
+    todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
+    # Pairs are (odd, even): odd blocks are slot 1, even blocks slot 2.
+    slot = (todo % 2 == 0).astype(np.int64)
+    _target_residual(
+        run, stats, targets, [targets.first, targets.second], todo, slot,
+        run.anchor_start[todo] // run.line_size,
+        partial(_slot_cycles, penalty_cycles, SINGLE_SELECT, 2))

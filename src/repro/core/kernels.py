@@ -616,3 +616,61 @@ def stale_bit_windows(compiled: CompiledBlocks, line_size: int,
     return StaleWindows(window=window, accesses=n_reads,
                         stale_hits=stale_hits, final_slots=final_slots,
                         final_lines=final_lines)
+
+
+# ----------------------------------------------------------------------
+# Keyed last-write replay (select tables, NLS target arrays)
+# ----------------------------------------------------------------------
+
+def replay_last_write(keys: np.ndarray, values: np.ndarray,
+                      writes: np.ndarray, init: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replay a keyed observe-then-maybe-write event stream.
+
+    Event ``i`` (in time order) observes the state stored under
+    ``keys[i]`` *before* the event, then — when ``writes[i]`` — stores
+    ``values[i]`` there.  Returns ``(observed, final_keys,
+    final_values)``: the per-event observations plus the final state of
+    every key that received at least one write event (``final_keys``
+    ascending).  A write event always counts, even when it stores the
+    value already present: the scalar engines replace cold ``None``
+    entries with real objects on every write, and state parity requires
+    mirroring that.
+
+    Select tables and NLS target arrays are tag-less direct-mapped
+    stores, so this resolves their aliasing without a per-event loop:
+    group events by key with a stable sort, then resolve each
+    observation to the latest preceding write inside its key segment —
+    the same segmented-maximum idiom as :func:`stale_bit_windows`.
+    """
+    m = int(keys.shape[0])
+    if m == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    order = _grouping_order(keys)
+    k_s = keys[order]
+    w_s = writes[order]
+    v_s = values[order]
+    idx = np.arange(m, dtype=np.int64)
+    seg_start = np.ones(m, dtype=bool)
+    seg_start[1:] = k_s[1:] != k_s[:-1]
+    # Index of each event's segment start (its key's first event).
+    seg_first = np.maximum.accumulate(np.where(seg_start, idx, np.int64(0)))
+    # Index of the latest write event at or before each position.
+    last_w = np.maximum.accumulate(np.where(w_s, idx, np.int64(-1)))
+    prev = np.empty(m, dtype=np.int64)
+    prev[0] = -1
+    prev[1:] = last_w[:-1]
+    # A preceding write is visible only when it falls inside the same
+    # key segment; otherwise the event reads the seeded initial state.
+    observed_s = np.where(prev >= seg_first,
+                          v_s[np.maximum(prev, np.int64(0))], init[k_s])
+    observed = np.empty(m, dtype=np.int64)
+    observed[order] = observed_s
+    seg_end = np.ones(m, dtype=bool)
+    seg_end[:-1] = seg_start[1:]
+    written = seg_end & (last_w >= seg_first)
+    final_keys = k_s[written].astype(np.int64)
+    final_values = v_s[np.maximum(last_w, np.int64(0))][written] \
+        .astype(np.int64)
+    return observed, final_keys, final_values

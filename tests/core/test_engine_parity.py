@@ -57,6 +57,15 @@ ENGINES = {
                     {"track_not_taken_targets": False}),
     "dual-single": (DualBlockEngine, {}),
     "dual-double": (DualBlockEngine, {"selection": DOUBLE_SELECT}),
+    "dual-btb": (DualBlockEngine,
+                 {"target_kind": "btb", "target_entries": 64,
+                  "btb_associativity": 4}),
+    "dual-btb-double": (DualBlockEngine,
+                        {"selection": DOUBLE_SELECT, "target_kind": "btb",
+                         "target_entries": 64, "btb_associativity": 4}),
+    "dual-btb-near": (DualBlockEngine,
+                      {"near_block": True, "target_kind": "btb",
+                       "target_entries": 8, "btb_associativity": 4}),
     "multi-1": (lambda c: MultiBlockEngine(c, 1), {}),
     "multi-3": (lambda c: MultiBlockEngine(c, 3), {}),
     "multi-3-double": (lambda c: MultiBlockEngine(c, 3),
@@ -96,7 +105,8 @@ def test_scalar_fast_parity(engine_name, geometry_name, monkeypatch):
 
 
 @pytest.mark.parametrize("engine_name", [
-    "single-bit", "single-btb", "dual-double", "multi-3", "two-ahead"])
+    "single-bit", "single-btb", "dual-double", "dual-btb-double", "multi-3",
+    "two-ahead"])
 def test_warm_rerun_parity(engine_name, monkeypatch):
     """Warm tables: run li, then gcc, then li again on ONE engine.
 
@@ -110,6 +120,21 @@ def test_warm_rerun_parity(engine_name, monkeypatch):
     (scalar_stats, scalar_state), (fast_stats, fast_state) = run_both(
         factory, cfg_kw, geometry, monkeypatch,
         workloads=("li", "gcc", "li"))
+    assert fast_stats == scalar_stats
+    assert fast_state == scalar_state
+
+
+def test_btb_lookups_only_where_scalar_looks(monkeypatch):
+    """Near-block exits neither look up nor train the BTB.
+
+    A BTB lookup refreshes LRU order, so one made where the scalar
+    engine makes none changes later evictions.  vortex under a small
+    near-block BTB is a stream where that shows in stats and state.
+    """
+    factory, cfg_kw = ENGINES["dual-btb-near"]
+    (scalar_stats, scalar_state), (fast_stats, fast_state) = run_both(
+        factory, cfg_kw, GEOMETRIES["normal"], monkeypatch,
+        workloads=("vortex",))
     assert fast_stats == scalar_stats
     assert fast_state == scalar_state
 
