@@ -17,11 +17,16 @@ Each run is split into a ``_prep_*`` front half (counter scan,
 divergence charges, RAS replay — everything vectorizable without
 aliasing state) and a ``_residual_*`` back half that replays the
 select-table and target-array event streams through the keyed
-last-write replay (:func:`repro.core.kernels.replay_last_write`).
+last-write replay (:func:`repro.core.kernels.replay_last_write`).  The
+PHT and RAS part of the front half is shared across runs that differ
+only in selection scheme or select tables (see *Shared PHT front*).
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -79,6 +84,96 @@ def _charge_bulk(stats: FetchStats, kind: PenaltyKind, count: int,
                                     + cycles)
 
 
+# ----------------------------------------------------------------------
+# Shared PHT front
+# ----------------------------------------------------------------------
+#
+# The counter scan, walks, PHT bases and PHT write-back depend only on
+# the compiled block stream, the PHT shape and its starting counters;
+# the RAS replay only on the block stream and the starting stack.
+# Neither reads the select tables, the target arrays or the selection
+# scheme, so a sweep that varies only those (Figure 8's selection x
+# #ST axes) resolves each (input, history length) front once and
+# replays it from this LRU.  Entries are compact and read-only; each
+# holds its ``CompiledBlocks``, so the ``id`` in its key is never
+# reused while the entry lives.
+
+#: Front LRU bound: one walk and one RAS entry for every program of one
+#: spec stride over the largest suite (the 10 SPECfp95 analogs), so
+#: consecutive sweep specs over the same inputs hit.
+FRONT_CAP = 2 * 10
+
+_front: "OrderedDict[tuple, object]" = OrderedDict()
+_front_lookups = {"hit": 0, "miss": 0}
+
+
+@dataclass(frozen=True)
+class _WalkFront:
+    """A resolved PHT front: walks, bases and the counter write-back."""
+
+    compiled: CompiledBlocks
+    walk: WalkArrays
+    base: np.ndarray          #: int32[n] flat PHT entry base per block
+    final_slots: np.ndarray   #: int32 written PHT slots, ascending
+    final_states: np.ndarray  #: int8 their post-run counter states
+
+
+@dataclass(frozen=True)
+class _RasFront:
+    """A replayed RAS: return-exit peeks and the stack's end state."""
+
+    compiled: CompiledBlocks
+    ret_peeks: np.ndarray     #: int64 top of stack at each return exit
+    slots: Tuple[int, ...]
+    top: int
+    depth: int
+
+
+def _frozen(array: np.ndarray, dtype=None) -> np.ndarray:
+    """``array`` (cast to ``dtype`` when given), marked read-only."""
+    out = array if dtype is None else array.astype(dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _front_get(key: tuple):
+    entry = _front.get(key)
+    if entry is None:
+        _front_lookups["miss"] += 1
+    else:
+        _front.move_to_end(key)
+        _front_lookups["hit"] += 1
+    return entry
+
+
+def _front_put(key: tuple, entry) -> None:
+    _front[key] = entry
+    while len(_front) > FRONT_CAP:
+        _front.popitem(last=False)
+
+
+def clear_front_cache() -> None:
+    """Drop every shared front (``repro.workloads.clear_caches``)."""
+    _front.clear()
+
+
+def front_lookups() -> Tuple[int, int]:
+    """``(hits, misses)`` of front lookups so far in this process."""
+    return _front_lookups["hit"], _front_lookups["miss"]
+
+
+def front_outcome(since: Tuple[int, int]) -> Optional[str]:
+    """Front reuse since ``since``, a :func:`front_lookups` snapshot.
+
+    ``"miss"`` if any lookup missed, ``"hit"`` if all of them hit,
+    ``None`` if there were none.
+    """
+    hits, misses = front_lookups()
+    if misses > since[1]:
+        return "miss"
+    return "hit" if hits > since[0] else None
+
+
 class _Run:
     """Per-run bundle: compiled arrays, resolved walks, actuals."""
 
@@ -97,7 +192,14 @@ class _Run:
         self.n = self.compiled.n_blocks
         self.trace = fetch_input.trace
         self.ahead = ahead
+        # With ``ahead`` indexing (two-block-ahead), block ``i`` indexes
+        # the PHT and target arrays through block ``i-1``'s address.
+        start = self.compiled.start
+        self.anchor_start = (np.concatenate([start[:1], start[:-1]])
+                             if ahead else start)
         self.walk: WalkArrays = None  # set by resolve()
+        self.base = None
+        self.pred_exit = None  # decoded once per run by classify()
         self.stale_walk = None
         self.stale = None
         self.match = None    # divergence masks + residual inputs,
@@ -109,21 +211,17 @@ class _Run:
     def pht_bases(self) -> np.ndarray:
         """Flat PHT entry base of every block (gshare over block addr).
 
-        With ``ahead`` indexing (two-block-ahead), block ``i`` indexes
-        through block ``i-1``'s address and pre-block GHR.
+        With ``ahead`` indexing, block ``i`` indexes through block
+        ``i-1``'s address and pre-block GHR.
         """
         compiled = self.compiled
         pht = self.pht
         packed = packed_history(compiled.cond_taken,
                                 self.config.history_length)
+        before = compiled.conds_before
         if self.ahead:
-            prev = np.concatenate([np.zeros(1, dtype=np.int64),
-                                   np.arange(self.n - 1, dtype=np.int64)])
-            self.anchor_start = compiled.start[prev]
-        else:
-            prev = np.arange(self.n, dtype=np.int64)
-            self.anchor_start = compiled.start
-        ghr_vals = packed[compiled.conds_before[prev]]
+            before = np.concatenate([before[:1], before[:-1]])
+        ghr_vals = packed[before]
         addr = self.anchor_start // self.width
         entry = (ghr_vals ^ addr) & pht.mask
         return (addr % pht.n_tables * pht.n_entries + entry) * pht.block_width
@@ -134,12 +232,44 @@ class _Run:
         """Resolve every PHT read, walk every block, train, write back.
 
         With ``bit_table`` (single engine, Figure 7) the stale windows
-        are resolved in the same scan and ``self.stale_walk`` is set.
+        are resolved in the same scan and ``self.stale_walk`` is set;
+        such runs never share a front.  Every other run looks its front
+        up in the shared LRU first.
+        """
+        pht = self.pht
+        if bit_table is not None:
+            final_slots, final_states = self._scan(
+                np.asarray(pht._counters, dtype=np.int64), bit_table)
+        else:
+            raw = bytes(pht._counters)
+            key = ("walk", id(self.compiled), self.config.history_length,
+                   pht.n_tables, pht.n_entries, pht.block_width,
+                   self.width, self.ahead,
+                   hashlib.blake2b(raw, digest_size=16).digest())
+            front = _front_get(key)
+            if front is None:
+                final_slots, final_states = self._scan(
+                    np.frombuffer(raw, dtype=np.uint8).astype(np.int64))
+                front = _WalkFront(
+                    self.compiled, self.walk, self.base,
+                    _frozen(final_slots, np.int32),
+                    _frozen(final_states, np.int8))
+                _front_put(key, front)
+            self.walk = front.walk
+            self.base = front.base
+            final_slots, final_states = front.final_slots, front.final_states
+        store = pht._counters
+        for slot, state in zip(final_slots.tolist(), final_states.tolist()):
+            store[slot] = state
+
+    def _scan(self, counters: np.ndarray, bit_table=None):
+        """Counter scan + walks from ``counters``; sets ``walk``/``base``.
+
+        Returns the ``(final_slots, final_states)`` write-back.
         """
         compiled = self.compiled
         width = self.width
-        pht = self.pht
-        self.base = self.pht_bases()
+        self.base = _frozen(self.pht_bases(), np.int32)
 
         rb, cb = np.nonzero(compiled.window >= CODE_COND_LONG)
         read_blocks = rb
@@ -165,7 +295,6 @@ class _Run:
                  self.base[srb] + (compiled.start[srb] + scb) % width])
 
         write_slots = self.base[compiled.cond_block] + compiled.cond_pos
-        counters = np.asarray(pht._counters, dtype=np.int64)
         preds, final_slots, final_states = scan_counters(
             counters, read_blocks, read_slots, compiled.cond_block,
             write_slots, compiled.cond_taken)
@@ -173,21 +302,20 @@ class _Run:
         pred_mat = np.zeros(compiled.window.shape, dtype=bool)
         pred_mat[rb, cb] = preds[:n_true]
         self.walk = resolve_walks(compiled.window, width, pred_mat)
+        _frozen(self.walk.sel)
+        _frozen(self.walk.pay)
         if bit_table is not None:
             stale_mat = np.zeros(compiled.window.shape, dtype=bool)
             stale_mat[srb, scb] = preds[n_true:]
             self.stale_walk = resolve_walks(self.stale.window, width,
                                             stale_mat)
-
-        store = pht._counters
-        for slot, state in zip(final_slots.tolist(), final_states.tolist()):
-            store[slot] = state
+        return final_slots, final_states
 
     # -- divergence classes ---------------------------------------------
 
     def classify(self):
         """(match, early, late) masks; halt blocks are never charged."""
-        p = self.walk.pred_exit
+        p = self.pred_exit = self.walk.pred_exit
         act = self.compiled.act_exit
         live = ~self.compiled.is_halt
         return p == act, (p < act) & live, (p > act) & live
@@ -202,7 +330,7 @@ class _Run:
         not-taken targets are untracked.
         """
         charged = early | late
-        remaining = (self.compiled.n_instr - 1 - self.walk.pred_exit) > 0
+        remaining = (self.compiled.n_instr - 1 - self.pred_exit) > 0
         cycles = base_arr[slot_arr] + slot2_extra.astype(np.int64)
         cycles += (~slot2_extra) & early & remaining
         if late_extra:
@@ -218,22 +346,37 @@ class _Run:
 
         Returns each return-exit block's top-of-stack at its analysis
         point (-1 encodes an empty stack, which never matches a target).
+        The replay depends only on the block stream and the starting
+        stack, so it is shared through the front LRU.
         """
         compiled = self.compiled
         is_ret = compiled.has_exit & (compiled.exit_kind == K_RETURN)
-        is_call = compiled.has_exit & (compiled.exit_kind == K_CALL)
         self.is_ret = is_ret
+        key = ("ras", id(compiled), ras.size, tuple(ras._slots), ras._top,
+               ras._depth)
+        front = _front_get(key)
+        if front is None:
+            is_call = compiled.has_exit & (compiled.exit_kind == K_CALL)
+            peeks = np.full(self.n, -1, dtype=np.int64)
+            exit_pc = compiled.exit_pc.tolist()
+            ret_flags = is_ret.tolist()
+            for b in np.nonzero(is_ret | is_call)[0].tolist():
+                if ret_flags[b]:
+                    top = ras.peek(0)
+                    if top is not None:
+                        peeks[b] = top
+                    ras.pop()
+                else:
+                    ras.push(exit_pc[b] + 1)
+            _front_put(key, _RasFront(
+                compiled, _frozen(peeks[is_ret]), tuple(ras._slots),
+                ras._top, ras._depth))
+            return peeks
+        ras._slots = list(front.slots)
+        ras._top = front.top
+        ras._depth = front.depth
         peeks = np.full(self.n, -1, dtype=np.int64)
-        exit_pc = compiled.exit_pc.tolist()
-        ret_flags = is_ret.tolist()
-        for b in np.nonzero(is_ret | is_call)[0].tolist():
-            if ret_flags[b]:
-                top = ras.peek(0)
-                if top is not None:
-                    peeks[b] = top
-                ras.pop()
-            else:
-                ras.push(exit_pc[b] + 1)
+        peeks[is_ret] = front.ret_peeks
         return peeks
 
     # -- misfetch kinds --------------------------------------------------
@@ -348,7 +491,7 @@ def _target_residual(run: _Run, stats: FetchStats, targets, arrays,
     position = compiled.exit_pc[todo] % run.line_size
     values = compiled.exit_target[todo]
     writes = ~run.near_ok[todo]
-    probe = run.match[todo] & (run.walk.src[todo] != SRC_NEAR)
+    probe = run.match[todo] & ~run.near_ok[todo]
     if arrays is None:
         lines = anchor.tolist()
         positions = position.tolist()
@@ -438,7 +581,7 @@ def _select_residual(run: _Run, stats: FetchStats, select, tables,
         % select.n_tables
     keys = table_of * size + line_table * select.n_entries \
         + (run.base[anchor] & (select.n_entries - 1))
-    sel = walk.sel[blocks]
+    sel = walk.sel[blocks].astype(np.int64)
     packed = sel * _payload_levels(width) + walk.pay[blocks]
     init = np.concatenate([_seed_select(width, t) for t in tables])
     observed, fin_k, fin_v = replay_last_write(keys, packed, writes, init)
@@ -516,8 +659,7 @@ def _prep_single(engine, fetch_input) -> tuple:
                  count * penalty_cycles(scheme, 1, PenaltyKind.RETURN))
 
     run.match = match
-    run.near_ok = (walk.src == SRC_NEAR) \
-        & (walk.pred_exit == compiled.act_exit)
+    run.near_ok = match & (walk.src == SRC_NEAR)
     run.mf = run.misfetch_kinds()
     return run, stats
 
@@ -594,8 +736,7 @@ def _prep_dual(engine, fetch_input) -> tuple:
                                         PenaltyKind.BANK_CONFLICT))
 
     run.match = match
-    run.near_ok = (walk.src == SRC_NEAR) \
-        & (walk.pred_exit == compiled.act_exit)
+    run.near_ok = match & (walk.src == SRC_NEAR)
     run.mf = run.misfetch_kinds()
     return run, stats
 
@@ -739,8 +880,7 @@ def _prep_multi(engine, fetch_input) -> tuple:
     _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, bank_count, bank_cycles)
 
     run.match = match
-    run.near_ok = (walk.src == SRC_NEAR) \
-        & (walk.pred_exit == compiled.act_exit)
+    run.near_ok = match & (walk.src == SRC_NEAR)
     run.mf = run.misfetch_kinds()
     return run, stats
 
@@ -839,8 +979,7 @@ def _prep_two_ahead(engine, fetch_input) -> tuple:
                                         PenaltyKind.BANK_CONFLICT))
 
     run.match = match
-    run.near_ok = (walk.src == SRC_NEAR) \
-        & (walk.pred_exit == compiled.act_exit)
+    run.near_ok = match & (walk.src == SRC_NEAR)
     run.mf = run.misfetch_kinds()
     return run, stats
 

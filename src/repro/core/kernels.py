@@ -372,24 +372,66 @@ def scan_counters(counters: np.ndarray,
 # Batched block walks
 # ----------------------------------------------------------------------
 
-@dataclass
+#: Widest block whose walk encodes compactly: ``pay <= 2 * width + 1``
+#: must fit int8 (``sel`` fits int16 far beyond this).
+WALK_MAX_WIDTH = 63
+
+
+@dataclass(frozen=True)
 class WalkArrays:
     """Per-block results of the batched first-predicted-taken walk.
 
-    ``sel``/``pay`` encode the scalar walk's ``selector`` and
-    ``ghr_payload`` as single integers whose equality matches the
-    scalar dataclass equality; the cold select-table default encodes to
-    ``(0, 0)``.
+    Only the two encoded columns are stored: ``sel`` packs the scalar
+    walk's ``selector`` (source, exit offset, near code) and ``pay`` its
+    ``ghr_payload`` (not-taken count, ends-taken flag), each as a small
+    integer whose equality matches the scalar dataclass equality; the
+    cold select-table default encodes to ``(0, 0)``.  Every other column
+    is decoded from them on access (as int64, or bool), so a walk kept
+    for reuse costs three bytes per block.
     """
 
-    exit_off: np.ndarray    #: int64[n], NO_EXIT for fall-through
-    pred_exit: np.ndarray   #: int64[n], exit_off with FAR for fall-through
-    src: np.ndarray         #: int64[n] SRC_* constant
-    near: np.ndarray        #: int64[n] near BitCode or -1
-    n_not_taken: np.ndarray  #: int64[n]
-    ends_taken: np.ndarray  #: bool[n]
-    sel: np.ndarray         #: int64[n] encoded selector
-    pay: np.ndarray         #: int64[n] encoded GHR payload
+    width: int
+    sel: np.ndarray  #: int16[n] encoded selector (:func:`encode_selector`)
+    pay: np.ndarray  #: int8[n] encoded GHR payload
+
+    # Both columns are non-negative, so shifts and masks decode the
+    # power-of-two fields; everything stays int16 until the final cast.
+
+    def _exit_code(self) -> np.ndarray:
+        """int16[n] exit offset + 1 (0 for fall-through)."""
+        rest = self.sel >> 4
+        return rest - rest // (self.width + 2) * (self.width + 2)
+
+    @property
+    def src(self) -> np.ndarray:
+        """int64[n] ``SRC_*`` prediction source."""
+        return ((self.sel >> 4) // (self.width + 2)).astype(np.int64)
+
+    @property
+    def exit_off(self) -> np.ndarray:
+        """int64[n] predicted exit offset, ``NO_EXIT`` for fall-through."""
+        return self._exit_code().astype(np.int64) - 1
+
+    @property
+    def pred_exit(self) -> np.ndarray:
+        """int64[n] ``exit_off`` with ``FAR`` for fall-through."""
+        code = self._exit_code()
+        return code.astype(np.int64) - 1 + (code == 0) * (FAR + 1)
+
+    @property
+    def near(self) -> np.ndarray:
+        """int64[n] near BitCode of the exit, or -1."""
+        return (self.sel & 15).astype(np.int64) - 1
+
+    @property
+    def n_not_taken(self) -> np.ndarray:
+        """int64[n] conditionals predicted not taken before the exit."""
+        return (self.pay >> 1).astype(np.int64)
+
+    @property
+    def ends_taken(self) -> np.ndarray:
+        """bool[n] the walk exits on a predicted-taken conditional."""
+        return (self.pay & 1).astype(bool)
 
 
 def encode_selector(width: int, src: int, exit_off: Optional[int],
@@ -420,6 +462,9 @@ def resolve_walks(window: np.ndarray, width: int,
     positions past the first exit cannot affect the result — exactly as
     the scalar walk, which never reads them.
     """
+    if width > WALK_MAX_WIDTH:
+        raise ValueError(f"block width {width} exceeds the compact walk "
+                         f"encoding's limit of {WALK_MAX_WIDTH}")
     n = len(window)
     rows = np.arange(n, dtype=np.int64)
     is_cond = window >= CODE_COND_LONG
@@ -452,15 +497,10 @@ def resolve_walks(window: np.ndarray, width: int,
             is_cond & (cols < limit[:, None]), axis=1)
     else:
         n_not_taken = np.zeros(n, dtype=np.int64)
-    ends_taken = cond_exit
     sel = (src * (width + 2) + (exit_off + 1)) * 16 + (near + 1)
-    pay = n_not_taken * 2 + ends_taken
-    return WalkArrays(
-        exit_off=exit_off,
-        pred_exit=np.where(any_exit, first, FAR),
-        src=src, near=near, n_not_taken=n_not_taken,
-        ends_taken=ends_taken, sel=sel, pay=pay,
-    )
+    pay = n_not_taken * 2 + cond_exit
+    return WalkArrays(width=width, sel=sel.astype(np.int16),
+                      pay=pay.astype(np.int8))
 
 
 # ----------------------------------------------------------------------

@@ -160,15 +160,19 @@ def _run_engine_cell(cell: Tuple[SuiteSpec, str]):
 
     Under ``REPRO_PROFILE=1`` the cell's phase breakdown (trace /
     segment / compile / engine) is printed to stderr as it completes —
-    from the worker's stderr when the sweep is parallel.
+    from the worker's stderr when the sweep is parallel — followed by
+    ``front=hit`` when the fast engine replayed a shared PHT front for
+    the whole cell, or ``front=miss`` when it resolved one.
     """
     spec, name = cell
+    from ..core import fast
     from ..core.dual import DualBlockEngine
     from ..workloads import load_fetch_input
     from . import profile
 
     profiling = profile.enabled()
     base = profile.snapshot() if profiling else None
+    lookups = fast.front_lookups()
     fetch_input = load_fetch_input(name, spec.config.geometry, spec.budget)
     factory = spec.engine_factory or DualBlockEngine
     with profile.phase("engine"):
@@ -176,8 +180,10 @@ def _run_engine_cell(cell: Tuple[SuiteSpec, str]):
     if profiling:
         engine_name = getattr(factory, "__name__",
                               factory.__class__.__name__)
+        front = fast.front_outcome(lookups)
         profile.emit_cell(f"{engine_name}/{name}",
-                          profile.delta_since(base))
+                          profile.delta_since(base),
+                          {"front": front} if front else None)
     return stats
 
 

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Dict
+from typing import Dict, Optional
 
 #: Environment variable enabling phase timing.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -121,13 +121,18 @@ def format_phases(phases: Dict[str, float]) -> str:
     return " ".join(f"{name}={phases[name]:.3f}s" for name in names)
 
 
-def emit_cell(label: str, phases: Dict[str, float]) -> None:
+def emit_cell(label: str, phases: Dict[str, float],
+              tags: Optional[Dict[str, str]] = None) -> None:
     """Print one cell's phase breakdown to stderr.
 
+    ``tags`` follow the phases as ``name=value`` (e.g. ``front=hit``).
     Under a sharded sweep the line carries the worker's shard label
     (``s<k>/``), so interleaved worker stderr still attributes every
     cell to its shard.
     """
     if _shard is not None:
         label = f"s{_shard}/{label}"
-    print(f"[profile] {label}: {format_phases(phases)}", file=sys.stderr)
+    text = format_phases(phases)
+    if tags:
+        text = " ".join([text] + [f"{k}={v}" for k, v in tags.items()])
+    print(f"[profile] {label}: {text}", file=sys.stderr)

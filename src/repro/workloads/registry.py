@@ -109,8 +109,14 @@ def clear_caches() -> None:
     """Drop all cached programs, traces and fetch inputs (tests).
 
     Also purges the persistent disk cache (``REPRO_CACHE_DIR``), so a
-    clear really does force the next run back through the interpreter.
+    clear really does force the next run back through the interpreter,
+    and the fast engines' shared PHT-front LRU
+    (:func:`repro.core.fast.clear_front_cache`), so no later run can
+    replay a front resolved before the clear.
     """
+    from ..core.fast import clear_front_cache
+
     REGISTRY.clear_caches()
     _fetch_inputs.clear()
     disk_cache.purge()
+    clear_front_cache()

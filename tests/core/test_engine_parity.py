@@ -15,6 +15,7 @@ variants, and warm re-runs (including cross-workload, which exercises
 stale-BIT reconstruction from a previously trained table).
 """
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -23,6 +24,7 @@ from repro.core import (
     EngineConfig,
     SingleBlockEngine,
 )
+from repro.core import fast
 from repro.core.engine_mode import ENGINE_ENV
 from repro.core.multi import MultiBlockEngine
 from repro.core.two_ahead import TwoBlockAheadEngine
@@ -203,3 +205,123 @@ def test_engine_mode_validation(monkeypatch):
     assert engine_mode.engine_mode() == "fast"
     monkeypatch.setenv(ENGINE_ENV, "scalar")
     assert not engine_mode.use_fast_engine()
+
+
+# ----------------------------------------------------------------------
+# Shared PHT front: reuse across configurations, never across states
+# ----------------------------------------------------------------------
+
+#: (engine factory, config A kwargs, config B kwargs): B differs from A
+#: only in ``selection`` / ``n_select_tables``, so it shares A's front.
+FRONT_PAIRS = {
+    "dual-single": (DualBlockEngine, {"n_select_tables": 1},
+                    {"n_select_tables": 8}),
+    "dual-double": (DualBlockEngine, {},
+                    {"selection": DOUBLE_SELECT, "n_select_tables": 2}),
+    "multi-3": (lambda c: MultiBlockEngine(c, 3), {},
+                {"selection": DOUBLE_SELECT, "n_select_tables": 1}),
+    "two-ahead": (TwoBlockAheadEngine, {"n_select_tables": 1},
+                  {"n_select_tables": 8}),
+}
+
+
+def _fast_run(factory, config, fetch_input, monkeypatch, pht=None):
+    """Fresh fast engine (PHT counters optionally preset) and its run."""
+    monkeypatch.setenv(ENGINE_ENV, "fast")
+    engine = factory(config)
+    if pht is not None:
+        engine.pht._counters = list(pht)
+    before = fast.front_lookups()
+    stats = engine.run(fetch_input)
+    hits, misses = fast.front_lookups()
+    return stats, engine_state(engine), (hits - before[0],
+                                         misses - before[1])
+
+
+def _scalar_run(factory, config, fetch_input, monkeypatch, pht=None):
+    monkeypatch.setenv(ENGINE_ENV, "scalar")
+    engine = factory(config)
+    if pht is not None:
+        engine.pht._counters = list(pht)
+    return engine.run(fetch_input), engine_state(engine)
+
+
+@pytest.mark.parametrize("engine_name", sorted(FRONT_PAIRS))
+def test_front_shared_across_configs(engine_name, monkeypatch):
+    """Config B replays config A's front and still equals scalar B.
+
+    The front covers the PHT write-back and the RAS end state, so the
+    hit must restore both: the full state comparison covers PHT, select
+    tables, targets and RAS.
+    """
+    factory, kw_a, kw_b = FRONT_PAIRS[engine_name]
+    geometry = GEOMETRIES["normal"]
+    fetch_input = load_fetch_input("li", geometry, BUDGET)
+    fast.clear_front_cache()
+    _, _, (hits_a, misses_a) = _fast_run(
+        factory, _config(geometry, **kw_a), fetch_input, monkeypatch)
+    assert (hits_a, misses_a) == (0, 2)  # walk and RAS resolved
+
+    config_b = _config(geometry, **kw_b)
+    stats, state, (hits, misses) = _fast_run(factory, config_b,
+                                             fetch_input, monkeypatch)
+    assert (hits, misses) == (2, 0)
+    scalar_stats, scalar_state = _scalar_run(factory, config_b,
+                                             fetch_input, monkeypatch)
+    assert stats == scalar_stats
+    assert state == scalar_state
+
+
+def test_trained_pht_misses_and_matches_scalar(monkeypatch):
+    """A PHT trained by an earlier run has a different front."""
+    factory = DualBlockEngine
+    geometry = GEOMETRIES["normal"]
+    config = _config(geometry)
+    fetch_input = load_fetch_input("li", geometry, BUDGET)
+    fast.clear_front_cache()
+    monkeypatch.setenv(ENGINE_ENV, "fast")
+    trainer = factory(config)
+    trainer.run(fetch_input)
+    trained = list(trainer.pht._counters)
+
+    stats, state, (hits, misses) = _fast_run(
+        factory, config, fetch_input, monkeypatch, pht=trained)
+    assert (hits, misses) == (1, 1)  # fresh RAS hits, trained PHT misses
+    assert (stats, state) == _scalar_run(factory, config, fetch_input,
+                                         monkeypatch, pht=trained)
+
+
+def test_front_lru_never_exceeds_cap(monkeypatch):
+    geometry = GEOMETRIES["normal"]
+    fetch_input = load_fetch_input("compress", geometry, BUDGET)
+    fast.clear_front_cache()
+    monkeypatch.setattr(fast, "FRONT_CAP", 3)
+    for history in range(6, 12):
+        _fast_run(DualBlockEngine, _config(geometry, history_length=history),
+                  fetch_input, monkeypatch)
+        assert len(fast._front) <= 3
+    assert len(fast._front) == 3
+
+
+def test_front_entries_are_compact_and_read_only(monkeypatch):
+    geometry = GEOMETRIES["normal"]
+    fetch_input = load_fetch_input("compress", geometry, BUDGET)
+    fast.clear_front_cache()
+    _fast_run(DualBlockEngine, _config(geometry), fetch_input, monkeypatch)
+    arrays = []
+    for front in fast._front.values():
+        if isinstance(front, fast._WalkFront):
+            assert front.walk.sel.dtype == np.int16
+            assert front.walk.pay.dtype == np.int8
+            assert front.base.dtype == np.int32
+            assert front.final_slots.dtype == np.int32
+            assert front.final_states.dtype == np.int8
+            arrays += [front.walk.sel, front.walk.pay, front.base,
+                       front.final_slots, front.final_states]
+        else:
+            arrays.append(front.ret_peeks)
+    assert len(arrays) == 6
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[:1] = 0
+

@@ -70,6 +70,13 @@ class TestAccounting:
         err = capsys.readouterr().err
         assert err == "[profile] DualBlockEngine/gcc: engine=0.125s\n"
 
+    def test_emit_cell_appends_tags(self, capsys):
+        profile.emit_cell("DualBlockEngine/gcc", {"engine": 0.125},
+                          {"front": "hit"})
+        err = capsys.readouterr().err
+        assert err == \
+            "[profile] DualBlockEngine/gcc: engine=0.125s front=hit\n"
+
 
 class TestSweepReportWiring:
     def test_sweep_report_carries_phase_seconds(self, monkeypatch):
@@ -93,3 +100,22 @@ class TestSweepReportWiring:
         result = run_resilient(lambda x: x, [1], jobs=1, label=None)
         assert result.report.phase_seconds == {}
         assert "phases:" not in result.report.summary()
+
+
+def test_cell_lines_report_front_reuse(monkeypatch, capsys):
+    """A config differing only in #STs replays the previous cell's front."""
+    from repro.core import EngineConfig, fast
+    from repro.icache import CacheGeometry
+    from repro.runtime.executor import SuiteSpec, _run_engine_cell
+
+    monkeypatch.setenv(PROFILE_ENV, "1")
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
+    fast.clear_front_cache()
+    geometry = CacheGeometry.normal(8)
+    for n_st in (1, 2):
+        spec = SuiteSpec("int", EngineConfig(geometry=geometry,
+                                             n_select_tables=n_st), 6_000)
+        _run_engine_cell((spec, "compress"))
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.rsplit(" ", 1)[1] for line in lines] == \
+        ["front=miss", "front=hit"]

@@ -128,3 +128,14 @@ class TestDiskCache:
         monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
         reg = WorkloadRegistry()
         assert reg._disk_cache_path("x", 10) is None
+
+
+def test_clear_caches_drops_shared_pht_fronts(tmp_path, monkeypatch):
+    """No run after a clear may replay a front resolved before it."""
+    from repro.core import fast
+    from repro.workloads import clear_caches
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    fast._front_put(("probe",), object())
+    clear_caches()
+    assert not fast._front
