@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=str, default=None,
                        help="worker processes for the sweep "
                             "(int or 'auto'; default: REPRO_JOBS "
-                            "or serial)")
+                            "or one per CPU)")
         p.add_argument("--shards", type=str, default=None,
                        help="shard count for the sweep (int or 'auto'; "
                             ">1 enables the work-stealing shard "
@@ -140,27 +140,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_runtime(args) -> None:
+def _apply_runtime(args) -> int:
     """Propagate sweep flags to their environment variables, validated.
 
     The runtime reads the environment, so setting it here makes one flag
-    govern every sweep the command triggers, including those in worker
-    warm-up.  Every knob — flag-set or inherited from the environment —
-    is validated eagerly so a typo fails (exit 2) before any simulation.
+    govern every sweep the command triggers.  Every knob — flag-set or
+    inherited from the environment — is validated eagerly so a typo
+    fails (exit 2) before any simulation.
+
+    Returns the sweep worker count, which is passed to the runners as an
+    argument: ``--jobs``, else ``REPRO_JOBS``, else one per CPU.
     """
     import os
 
     from .core import engine_mode
     from .cpu import tracer_mode
     from .runtime import faults, profile, resilience, shard
-    from .runtime.executor import JOBS_ENV
+    from .runtime.executor import parse_count
     from .trace.chunks import chunk_records
     from .workloads.base import stream_threshold
 
     if getattr(args, "engine", None) is not None:
         os.environ[engine_mode.ENGINE_ENV] = args.engine
-    if getattr(args, "jobs", None) is not None:
-        os.environ[JOBS_ENV] = args.jobs
     if getattr(args, "shards", None) is not None:
         os.environ[shard.SHARDS_ENV] = args.shards
     if getattr(args, "shard_policy", None) is not None:
@@ -177,28 +178,35 @@ def _apply_runtime(args) -> None:
     chunk_records()
     stream_threshold()
     profile.enabled()
-    n_jobs()
+    cpus = os.cpu_count() or 1
+    jobs = (parse_count(args.jobs, "--jobs", cpus)
+            if getattr(args, "jobs", None) is not None
+            else n_jobs(default=cpus))
     shard.shard_count()
     shard.shard_policy()
     resilience.retry_limit()
     resilience.cell_timeout()
     resilience.resume_enabled()
     faults.validate()
+    return jobs
 
 
 def _emit_sweep_reports() -> None:
-    """Print a summary for every sweep that degraded (to stderr)."""
+    """Print a summary for every sweep that degraded or was profiled.
+
+    Under ``REPRO_PROFILE=1`` the summary carries the sweep's phase
+    totals and, for a sharded sweep, its steal count (to stderr).
+    """
     from .runtime import resilience
 
     for report in resilience.drain_reports():
-        if not report.clean:
+        if not report.clean or report.phase_seconds:
             print(report.summary(), file=sys.stderr)
 
 
-def _cmd_experiment(name: str, budget) -> None:
+def _cmd_experiment(name: str, budget, jobs: int) -> None:
     runner, formatter = _EXPERIMENTS[name]
-    rows = runner(budget=budget) if budget else runner()
-    print(formatter(rows))
+    print(formatter(runner(budget=budget, jobs=jobs)))
 
 
 def _cmd_workloads() -> None:
@@ -235,16 +243,16 @@ def main(argv=None) -> int:
         if args.command == "table7":
             print(format_table7(run_table7()))
         elif args.command in _EXPERIMENTS:
-            _apply_runtime(args)
-            _cmd_experiment(args.command, args.budget)
+            jobs = _apply_runtime(args)
+            _cmd_experiment(args.command, args.budget, jobs)
         elif args.command == "workloads":
             _cmd_workloads()
         elif args.command == "report":
             from .experiments.report import write_report
 
-            _apply_runtime(args)
+            jobs = _apply_runtime(args)
             path = write_report(args.output, budget=args.budget,
-                                verbose=True)
+                                verbose=True, jobs=jobs)
             print(f"wrote {path}")
         elif args.command == "run":
             _apply_runtime(args)

@@ -77,8 +77,9 @@ REGISTRY: Tuple[EnvVar, ...] = (
     EnvVar(
         name="REPRO_JOBS",
         summary="Worker processes for sweep fan-out (integer or "
-                "'auto'); serial when unset.",
-        default="serial",
+                "'auto'); unset: one per CPU for `python -m repro` "
+                "sweeps, serial for library calls.",
+        default="one per CPU (CLI) / serial (library)",
         owner="repro.runtime.executor",
     ),
     EnvVar(

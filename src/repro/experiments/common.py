@@ -10,7 +10,7 @@ so benchmarks can trade fidelity for wall-clock from the environment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import envvars
 from ..core.config import EngineConfig, FetchInput
@@ -130,17 +130,18 @@ def run_suite(suite: str, config: EngineConfig, budget: int,
                    engine_factory=engine_factory)], label=label)[0]
 
 
-def run_suite_batch(specs: List[SuiteSpec],
-                    label: str = None) -> List[SuiteAggregate]:
+def run_suite_batch(specs: List[SuiteSpec], label: str = None,
+                    jobs: Optional[int] = None) -> List[SuiteAggregate]:
     """Run several suite sweeps as one fan-out (one aggregate per spec).
 
-    Batching lets ``REPRO_JOBS`` workers interleave the cells of *all*
-    requested configurations instead of synchronising per configuration.
-    ``label`` names the sweep in :class:`~repro.runtime.resilience.\
-SweepReport`\\ s and keys its checkpoint journal, so an interrupted
-    labeled run resumes from its completed cells.
+    Batching lets ``jobs`` workers (default ``REPRO_JOBS``) drain the
+    cells of *all* requested configurations, program by program, instead
+    of synchronising per configuration.  ``label`` names the sweep in
+    :class:`~repro.runtime.resilience.SweepReport`\\ s and keys its
+    checkpoint journal, so an interrupted labeled run resumes from its
+    completed cells.
     """
-    return run_suite_specs(specs, label=label)
+    return run_suite_specs(specs, jobs=jobs, label=label)
 
 
 def run_single_block_suite(suite: str, config: EngineConfig,

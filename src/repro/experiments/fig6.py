@@ -14,11 +14,11 @@ usually favouring the blocked PHT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..icache.geometry import CacheGeometry
 from ..predictors.evaluate import direction_accuracy_sweep
-from ..runtime.executor import execute, warm_fetch_inputs
+from ..runtime.executor import execute
 from ..workloads import load_fetch_input
 from .common import SUITES, format_table, instruction_budget
 
@@ -47,29 +47,25 @@ def _fig6_cell(cell: Tuple[str, int, int, Tuple[int, ...]]):
                                     history_lengths, block_width)
 
 
-def _warm_fig6(cells) -> None:
-    """Pre-populate the persistent cache before a parallel fan-out."""
-    warm_fetch_inputs((name, CacheGeometry.normal(block_width), budget)
-                      for name, budget, block_width, _ in cells)
-
-
 def run_fig6(history_lengths: Iterable[int] = range(6, 13),
              budget: int = None,
-             block_width: int = 8) -> List[Fig6Row]:
+             block_width: int = 8,
+             jobs: Optional[int] = None) -> List[Fig6Row]:
     """Reproduce Figure 6's sweep.
 
     One cell per workload — each runs the vectorized
     :func:`direction_accuracy_sweep` over every history length for both
-    schemes — fanned out by ``REPRO_JOBS`` and merged per (suite, history
-    length) in canonical order, so parallel results match serial ones.
+    schemes — fanned out over ``jobs`` workers (default ``REPRO_JOBS``),
+    keyed by program, and merged per (suite, history length) in
+    canonical order, so parallel results match serial ones.
     """
     budget = budget or instruction_budget()
     hs = tuple(history_lengths)
     names = [name for suite_names in SUITES.values()
              for name in suite_names]
     cells = [(name, budget, block_width, hs) for name in names]
-    sweeps = dict(zip(names, execute(_fig6_cell, cells, warm=_warm_fig6,
-                                     label="fig6")))
+    sweeps = dict(zip(names, execute(_fig6_cell, cells, jobs,
+                                     label="fig6", groups=names)))
 
     rows = []
     for suite, suite_names in SUITES.items():

@@ -57,7 +57,8 @@ class Fig7Row:
 
 
 def run_fig7(sizes: Iterable[int] = None, budget: int = None,
-             scaled: bool = True) -> List[Fig7Row]:
+             scaled: bool = True,
+             jobs: Optional[int] = None) -> List[Fig7Row]:
     """Reproduce Figure 7's sweep (single-block engine, separate BIT)."""
     budget = budget or instruction_budget()
     if sizes is None:
@@ -71,7 +72,7 @@ def run_fig7(sizes: Iterable[int] = None, budget: int = None,
                                       bit_entries=entries),
                   budget=budget,
                   engine_factory=SingleBlockEngine)
-        for suite, entries in points], label="fig7")
+        for suite, entries in points], label="fig7", jobs=jobs)
     rows = []
     for (suite, entries), agg in zip(points, aggregates):
         rows.append(Fig7Row(

@@ -10,7 +10,7 @@ most cases."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from ..core.config import EngineConfig
 from ..core.penalties import DOUBLE_SELECT, SINGLE_SELECT
@@ -37,7 +37,8 @@ class Fig8Row:
 
 def run_fig8(history_lengths: Iterable[int] = DEFAULT_HISTORY,
              table_counts: Iterable[int] = DEFAULT_TABLES,
-             budget: int = None) -> List[Fig8Row]:
+             budget: int = None,
+             jobs: Optional[int] = None) -> List[Fig8Row]:
     """Reproduce Figure 8's sweep (dual-block engine, normal cache)."""
     budget = budget or instruction_budget()
     geometry = CacheGeometry.normal(8)
@@ -53,7 +54,8 @@ def run_fig8(history_lengths: Iterable[int] = DEFAULT_HISTORY,
                                       n_select_tables=n_st,
                                       selection=selection),
                   budget=budget)
-        for suite, selection, h, n_st in points], label="fig8")
+        for suite, selection, h, n_st in points], label="fig8",
+        jobs=jobs)
     return [Fig8Row(
         suite=suite,
         selection=selection,

@@ -10,7 +10,7 @@ significant contribution."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..core.config import EngineConfig
 from ..core.penalties import PenaltyKind
@@ -41,7 +41,8 @@ class Fig9Row:
     components: Dict[PenaltyKind, float]  #: BEP contribution per category
 
 
-def run_fig9(budget: int = None) -> List[Fig9Row]:
+def run_fig9(budget: int = None,
+             jobs: Optional[int] = None) -> List[Fig9Row]:
     """Reproduce Figure 9 (two-block single-selection, self-aligned)."""
     budget = budget or instruction_budget()
     config = EngineConfig(
@@ -52,7 +53,7 @@ def run_fig9(budget: int = None) -> List[Fig9Row]:
     suites = (("fp", SPECFP95), ("int", SPECINT95))
     aggregates = run_suite_batch([
         SuiteSpec(suite=suite, config=config, budget=budget)
-        for suite, _ in suites], label="fig9")
+        for suite, _ in suites], label="fig9", jobs=jobs)
     rows = []
     for (suite, names), aggregate in zip(suites, aggregates):
         for name in names:

@@ -24,23 +24,27 @@ from .table7 import format_table7, run_multi_block_extrapolation, \
 
 _SECTIONS = (
     ("Figure 6 — blocked vs scalar conditional accuracy",
-     run_fig6, format_fig6, True),
+     run_fig6, format_fig6),
     ("Figure 7 — separate BIT table size (footprint-scaled)",
-     run_fig7, format_fig7, True),
+     run_fig7, format_fig7),
     ("Figure 8 — single vs double selection",
-     run_fig8, format_fig8, True),
+     run_fig8, format_fig8),
     ("Table 5 — target-array configurations (SPECint95)",
-     run_table5, format_table5, True),
+     run_table5, format_table5),
     ("Table 6 — cache types, one vs two blocks",
-     run_table6, format_table6, True),
+     run_table6, format_table6),
     ("Figure 9 — per-program BEP breakdown",
-     run_fig9, format_fig9, True),
+     run_fig9, format_fig9),
 )
 
 
 def generate_report(budget: Optional[int] = None,
-                    verbose: bool = False) -> str:
-    """Run every experiment and return the rendered markdown."""
+                    verbose: bool = False,
+                    jobs: Optional[int] = None) -> str:
+    """Run every experiment and return the rendered markdown.
+
+    ``jobs`` is each sweep's worker count (default ``REPRO_JOBS``).
+    """
     budget = budget or instruction_budget()
     parts = [
         "# Regenerated evaluation — Multiple Branch and Block Prediction",
@@ -49,9 +53,9 @@ def generate_report(budget: Optional[int] = None,
         f"(paper: 10^9).  See EXPERIMENTS.md for the paper-vs-measured "
         f"discussion and DESIGN.md for the substitutions.",
     ]
-    for title, runner, formatter, takes_budget in _SECTIONS:
+    for title, runner, formatter in _SECTIONS:
         started = time.time()
-        rows = runner(budget=budget) if takes_budget else runner()
+        rows = runner(budget=budget, jobs=jobs)
         elapsed = time.time() - started
         if verbose:
             print(f"{title}: {elapsed:.1f}s")
@@ -69,8 +73,9 @@ def generate_report(budget: Optional[int] = None,
 
 
 def write_report(path: str, budget: Optional[int] = None,
-                 verbose: bool = False) -> Path:
+                 verbose: bool = False, jobs: Optional[int] = None) -> Path:
     """Generate the report and write it to ``path``."""
     target = Path(path)
-    target.write_text(generate_report(budget=budget, verbose=verbose))
+    target.write_text(generate_report(budget=budget, verbose=verbose,
+                                      jobs=jobs))
     return target

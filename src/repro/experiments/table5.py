@@ -11,7 +11,7 @@ near-block, and near-block encoding halves the required entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from ..core.config import EngineConfig, TARGET_BTB, TARGET_NLS
 from ..core.penalties import PenaltyKind
@@ -46,7 +46,8 @@ class Table5Row:
 
 def run_table5(btb_sizes: Iterable[int] = DEFAULT_BTB_SIZES,
                nls_sizes: Iterable[int] = DEFAULT_NLS_SIZES,
-               budget: int = None) -> List[Table5Row]:
+               budget: int = None,
+               jobs: Optional[int] = None) -> List[Table5Row]:
     """Reproduce Table 5 (SPECint95, dual block, single selection)."""
     budget = budget or instruction_budget()
     geometry = CacheGeometry.normal(8)
@@ -62,7 +63,8 @@ def run_table5(btb_sizes: Iterable[int] = DEFAULT_BTB_SIZES,
                                       target_entries=size,
                                       near_block=near_block),
                   budget=budget)
-        for target_kind, size, near_block in points], label="table5")
+        for target_kind, size, near_block in points], label="table5",
+        jobs=jobs)
     rows = []
     for (target_kind, size, near_block), agg in zip(points, aggregates):
         scale = (NLS_FOOTPRINT_SCALE if target_kind == TARGET_NLS

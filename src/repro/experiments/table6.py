@@ -9,7 +9,7 @@ SPEC95; dual-block fetching beats single-block by ~40% (int) to ~70% (fp).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from ..core.config import EngineConfig
 from ..core.single import SingleBlockEngine
@@ -43,7 +43,8 @@ class Table6Row:
 
 
 def run_table6(budget: int = None, history_length: int = 10,
-               n_select_tables: int = 8) -> List[Table6Row]:
+               n_select_tables: int = 8,
+               jobs: Optional[int] = None) -> List[Table6Row]:
     """Reproduce Table 6 over both sub-suites."""
     budget = budget or instruction_budget()
     points = []
@@ -62,7 +63,7 @@ def run_table6(budget: int = None, history_length: int = 10,
                                    engine_factory=SingleBlockEngine))
             specs.append(SuiteSpec(suite=suite, config=config,
                                    budget=budget))
-    aggregates = run_suite_batch(specs, label="table6")
+    aggregates = run_suite_batch(specs, label="table6", jobs=jobs)
     rows = []
     for i, (cache_name, geometry, suite) in enumerate(points):
         single, dual = aggregates[2 * i], aggregates[2 * i + 1]

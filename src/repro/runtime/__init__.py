@@ -8,9 +8,10 @@ The pieces:
   writes safe for concurrent workers, checksum verification, quarantine
   of corrupt artifacts and bounded-size eviction.
 * :mod:`repro.runtime.executor` — a deterministic process-parallel sweep
-  executor (``REPRO_JOBS``) that fans out (engine config x workload)
-  cells and merges per-program statistics back in canonical order, so
-  parallel runs are bit-identical to serial ones.
+  executor (``REPRO_JOBS``; the CLI defaults to one worker per CPU) that
+  fans out (engine config x workload) cells, keeps each program's cells
+  on one worker, and merges per-program statistics back in canonical
+  order, so parallel runs are bit-identical to serial ones.
 * :mod:`repro.runtime.resilience` — the fault-tolerant execution loop
   under the executor: per-cell deadlines (``REPRO_CELL_TIMEOUT``),
   bounded retries (``REPRO_RETRIES``), crash recovery with pool
@@ -42,8 +43,7 @@ from __future__ import annotations
 from . import cache, faults, profile  # noqa: F401
 
 _EXECUTOR_NAMES = ("JOBS_ENV", "SuiteSpec", "execute", "n_jobs",
-                   "run_suite_specs", "unpicklable_reason",
-                   "warm_fetch_inputs")
+                   "run_suite_specs", "unpicklable_reason")
 
 _RESILIENCE_NAMES = ("CellOutcome", "Journal", "SweepError", "SweepReport",
                      "SweepResult", "cell_timeout", "drain_reports",

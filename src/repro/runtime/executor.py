@@ -8,16 +8,17 @@ per-cell results back **in submission order**, so a parallel sweep is
 bit-identical to the serial one — parallelism only moves wall-clock,
 never numbers.
 
-The worker count comes from the ``REPRO_JOBS`` environment variable
-(:func:`n_jobs`); ``REPRO_JOBS=1`` (the default) short-circuits to a plain
-serial loop.  Execution itself is delegated to
+The worker count is an argument; left out, it comes from the
+``REPRO_JOBS`` environment variable (:func:`n_jobs`), whose default of 1
+short-circuits to a plain serial loop.  The CLI passes one worker per
+CPU unless told otherwise.  Execution itself is delegated to
 :mod:`repro.runtime.resilience`, which adds per-cell deadlines, bounded
 retries, crash recovery and journaled resume without changing any
-result.  Workers populate the persistent cache of
-:mod:`repro.runtime.cache`; its atomic writes make concurrent population
-safe, and :func:`execute` pre-warms the cache for the distinct workloads
-of a sweep so concurrent workers do not race to interpret the same
-program.
+result.  Suite sweeps key their cells by program, so all of one
+program's cells run back to back on one worker: no two workers
+interpret, load or resolve fronts for the same program, and the
+persistent cache of :mod:`repro.runtime.cache` is populated once per
+input.
 
 Imports of :mod:`repro.workloads` and :mod:`repro.experiments` are kept
 inside functions: the workload registry itself layers on
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import os
 import pickle
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 #: Environment variable selecting the worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -41,14 +42,13 @@ _PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError,
                   NotImplementedError)
 
 
-def count_from_env(env: str, default: int = 1) -> int:
-    """A positive count from environment variable ``env``.
+def parse_count(raw: Optional[str], name: str, default: int = 1) -> int:
+    """A positive count from the text ``raw`` of setting ``name``.
 
     Accepted values: a positive integer, or ``auto``/``0`` for one per
-    CPU.  Unset (or empty) falls back to ``default``.  Anything else
-    raises a :class:`ValueError` naming the variable.
+    CPU.  ``None`` (or empty) falls back to ``default``.  Anything else
+    raises a :class:`ValueError` naming the setting.
     """
-    raw = os.environ.get(env)
     if raw is None or not raw.strip():
         return default
     text = raw.strip().lower()
@@ -58,13 +58,18 @@ def count_from_env(env: str, default: int = 1) -> int:
         value = int(text)
     except ValueError:
         raise ValueError(
-            f"{env} must be a positive integer or 'auto', "
+            f"{name} must be a positive integer or 'auto', "
             f"got {raw!r}") from None
     if value < 0:
-        raise ValueError(f"{env} must not be negative, got {value}")
+        raise ValueError(f"{name} must not be negative, got {value}")
     if value == 0:
         return os.cpu_count() or 1
     return value
+
+
+def count_from_env(env: str, default: int = 1) -> int:
+    """A positive count from environment variable ``env``."""
+    return parse_count(os.environ.get(env), env, default)
 
 
 def n_jobs(default: int = 1) -> int:
@@ -95,18 +100,19 @@ def unpicklable_reason(fn: Callable, cells: Sequence) -> Optional[str]:
 
 
 def execute(fn: Callable, cells: Iterable, jobs: Optional[int] = None,
-            warm: Optional[Callable[[Sequence], None]] = None,
             label: Optional[str] = None,
             inject_faults: bool = True,
-            shards: Optional[int] = None) -> List:
+            shards: Optional[int] = None,
+            groups: Optional[Sequence[Optional[Hashable]]] = None,
+            ) -> List:
     """Order-preserving map of ``fn`` over ``cells``.
 
     With one job (or one cell) this is a plain serial loop.  Otherwise
     the cells are dispatched to worker processes and the results are
     returned in cell order, which keeps any downstream aggregation
-    deterministic.  ``warm``, when given, is invoked with the cell list
-    before a parallel fan-out (and never for serial runs) to pre-populate
-    shared caches; warm failures are reported as warnings, never fatal.
+    deterministic.  ``groups`` (one key per cell) keeps cells sharing a
+    key on one worker, back to back; see
+    :func:`~repro.runtime.resilience.run_resilient`.
 
     Execution goes through :func:`repro.runtime.resilience.run_resilient`
     — cells run under the ``REPRO_CELL_TIMEOUT`` deadline with
@@ -123,10 +129,9 @@ def execute(fn: Callable, cells: Iterable, jobs: Optional[int] = None,
     """
     from . import resilience
 
-    return resilience.run_resilient(fn, cells, jobs=jobs, warm=warm,
-                                    label=label,
+    return resilience.run_resilient(fn, cells, jobs=jobs, label=label,
                                     inject_faults=inject_faults,
-                                    shards=shards).results
+                                    shards=shards, groups=groups).results
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +165,9 @@ def _run_engine_cell(cell: Tuple[SuiteSpec, str]):
 
     Under ``REPRO_PROFILE=1`` the cell's phase breakdown (trace /
     segment / compile / engine) is printed to stderr as it completes —
-    from the worker's stderr when the sweep is parallel — followed by
-    ``front=hit`` when the fast engine replayed a shared PHT front for
-    the whole cell, or ``front=miss`` when it resolved one.
+    by the sweep's parent process when the cell ran in a worker —
+    followed by ``front=hit`` when the fast engine replayed a shared PHT
+    front for the whole cell, or ``front=miss`` when it resolved one.
     """
     spec, name = cell
     from ..core import fast
@@ -187,68 +192,6 @@ def _run_engine_cell(cell: Tuple[SuiteSpec, str]):
     return stats
 
 
-def _warm_fetch_cell(cell: Tuple[str, object, int]) -> Optional[str]:
-    """Worker: populate the disk cache for one (name, geometry, budget).
-
-    Warming is purely an optimization — the main pass recomputes any
-    input it misses — so a failure is *returned* (never raised): one bad
-    warm cell must not abort the sweep it was trying to speed up.
-    """
-    name, geometry, budget = cell
-    from ..workloads import load_fetch_input
-
-    try:
-        load_fetch_input(name, geometry, budget)
-    except Exception as exc:
-        return f"{name}: {exc!r}"
-    return None
-
-
-def warm_fetch_inputs(triples: Iterable[Tuple[str, object, int]],
-                      jobs: Optional[int] = None) -> None:
-    """Pre-populate the persistent cache for distinct fetch inputs.
-
-    Interpreting a workload dominates cell cost, and several cells of one
-    sweep typically share a (workload, geometry, budget) triple; warming
-    the disk cache first — itself fanned out — stops parallel workers
-    from interpreting the same program concurrently.  A no-op when the
-    persistent cache is disabled (workers could not share the result).
-
-    Best-effort by construction: per-cell failures are caught in the
-    worker, pool-level failures are caught here, and either way the main
-    pass recomputes whatever warming missed.  Injected faults do not
-    apply — they target sweep cells, whose indexes would otherwise alias
-    warm cells.  Warming always runs on one flat pool (``shards=1``):
-    the warm cells are deduplicated inputs, not sweep cells, so an
-    ambient ``REPRO_SHARDS`` must neither shard them nor skew the main
-    sweep's per-shard accounting with warm-up attempts.
-    """
-    from . import cache
-
-    if not cache.enabled():
-        return
-    unique = list(dict.fromkeys(triples))
-    try:
-        failures = [f for f in execute(_warm_fetch_cell, unique, jobs,
-                                       inject_faults=False, shards=1)
-                    if f]
-    except Exception as exc:
-        warnings.warn(
-            f"cache warm-up aborted ({exc!r}); sweep cells will compute "
-            f"their own inputs", RuntimeWarning, stacklevel=2)
-        return
-    if failures:
-        warnings.warn(
-            f"cache warm-up failed for {len(failures)} input(s) "
-            f"({failures[0]}); the sweep will recompute them",
-            RuntimeWarning, stacklevel=2)
-
-
-def _warm_for_specs(cells: Sequence[Tuple[SuiteSpec, str]]) -> None:
-    warm_fetch_inputs((name, spec.config.geometry, spec.budget)
-                      for spec, name in cells)
-
-
 def run_suite_specs(specs: Iterable[SuiteSpec],
                     jobs: Optional[int] = None,
                     label: Optional[str] = None) -> List:
@@ -257,7 +200,9 @@ def run_suite_specs(specs: Iterable[SuiteSpec],
     Returns one ``SuiteAggregate`` per spec, in spec order; the aggregate
     folds per-program ``FetchStats`` in the suite's canonical program
     order, exactly as the serial runner does.  ``label`` names the sweep
-    in reports and keys its checkpoint journal.
+    in reports and keys its checkpoint journal.  Cells are keyed by
+    program name, so each program's cells run back to back on one
+    worker and share its fetch input and PHT fronts.
     """
     from ..experiments.common import SuiteAggregate
     from . import profile
@@ -265,8 +210,8 @@ def run_suite_specs(specs: Iterable[SuiteSpec],
     specs = list(specs)
     cells = [(spec, name) for spec in specs
              for name in _suite_names(spec.suite)]
-    results = execute(_run_engine_cell, cells, jobs, warm=_warm_for_specs,
-                      label=label)
+    results = execute(_run_engine_cell, cells, jobs, label=label,
+                      groups=[name for _, name in cells])
     with profile.phase("aggregate"):
         aggregates: List[SuiteAggregate] = []
         cursor = 0

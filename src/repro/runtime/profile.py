@@ -6,10 +6,11 @@ aggregation — prints a per-cell breakdown to stderr as cells finish, and
 attaches the sweep-level totals to the
 :class:`~repro.runtime.resilience.SweepReport`.
 
-The accounting is process-local: under ``REPRO_JOBS>1`` the per-cell
-lines come from worker stderr, while the report of the parent process
-only covers phases it ran itself (warm-up and aggregation).  Serial
-sweeps — the default — account everything.
+A worker process runs each cell under :func:`capture`, which holds the
+cell's phase delta and per-cell lines back and returns them with the
+result as a :class:`Captured`; the sweep's parent process replays them
+(:meth:`Captured.replay`), so the per-cell lines all come from one
+process and the report covers worker phases as well as its own.
 
 Profiling never changes a simulated number; it only reads clocks around
 existing work.
@@ -21,7 +22,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Environment variable enabling phase timing.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -34,9 +36,11 @@ _TRUE = {"1", "on", "yes", "true"}
 
 _totals: Dict[str, float] = {}
 
-#: Shard id labelling this process's per-cell output (sharded sweeps
-#: set it worker-side so stderr lines stay attributable per shard).
-_shard: int | None = None
+#: One per-cell line: label, phase seconds, tags.
+CellLine = Tuple[str, Dict[str, float], Optional[Dict[str, str]]]
+
+#: Per-cell lines held back by :func:`capture` (``None``: print them).
+_held: Optional[List[CellLine]] = None
 
 
 def enabled() -> bool:
@@ -96,22 +100,43 @@ def delta_since(base: Dict[str, float]) -> Dict[str, float]:
     return out
 
 
-def set_shard(shard: int | None) -> None:
-    """Label this process's subsequent per-cell output with a shard id."""
-    global _shard
-    _shard = shard
-
-
-def current_shard() -> int | None:
-    """Shard id labelling this process's profile output, if any."""
-    return _shard
-
-
 def reset() -> None:
-    """Drop all accumulated totals and the shard label (tests)."""
-    global _shard
+    """Drop all accumulated totals (tests)."""
     _totals.clear()
-    _shard = None
+
+
+@dataclass
+class Captured:
+    """A cell's result travelling with the profile it produced."""
+
+    value: Any
+    phases: Dict[str, float]
+    lines: List[CellLine]
+
+    def replay(self, shard: Optional[int] = None) -> Any:
+        """Account the phases here, print the lines, return the value.
+
+        Under a sharded sweep ``shard`` labels each line (``s<k>/``), so
+        every cell stays attributable to its home shard.
+        """
+        for name, seconds in self.phases.items():
+            record(name, seconds)
+        for label, phases, tags in self.lines:
+            emit_cell(label, phases, tags, shard=shard)
+        return self.value
+
+
+def capture(fn: Callable[[Any], Any], cell: Any) -> Captured:
+    """Run ``fn(cell)``, holding back its profile for the parent."""
+    global _held
+    base = snapshot()
+    held: List[CellLine] = []
+    _held = held
+    try:
+        value = fn(cell)
+    finally:
+        _held = None
+    return Captured(value, delta_since(base), held)
 
 
 def format_phases(phases: Dict[str, float]) -> str:
@@ -122,16 +147,19 @@ def format_phases(phases: Dict[str, float]) -> str:
 
 
 def emit_cell(label: str, phases: Dict[str, float],
-              tags: Optional[Dict[str, str]] = None) -> None:
+              tags: Optional[Dict[str, str]] = None,
+              shard: Optional[int] = None) -> None:
     """Print one cell's phase breakdown to stderr.
 
-    ``tags`` follow the phases as ``name=value`` (e.g. ``front=hit``).
-    Under a sharded sweep the line carries the worker's shard label
-    (``s<k>/``), so interleaved worker stderr still attributes every
-    cell to its shard.
+    ``tags`` follow the phases as ``name=value`` (e.g. ``front=hit``);
+    ``shard`` prefixes the label with ``s<k>/``.  Inside :func:`capture`
+    the line is held back for the parent instead of printed.
     """
-    if _shard is not None:
-        label = f"s{_shard}/{label}"
+    if _held is not None:
+        _held.append((label, phases, tags))
+        return
+    if shard is not None:
+        label = f"s{shard}/{label}"
     text = format_phases(phases)
     if tags:
         text = " ".join([text] + [f"{k}={v}" for k, v in tags.items()])

@@ -49,8 +49,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
-                    Mapping, Optional, Sequence)
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, Iterator,
+                    List, Mapping, Optional, Sequence)
 
 from . import cache, faults, profile
 
@@ -202,17 +202,15 @@ class SweepReport:
 
     label: Optional[str]
     n_cells: int
-    jobs: int
+    jobs: int   #: workers the sweep ran on (1: in-process)
     outcomes: List[CellOutcome] = field(default_factory=list)
     degraded_serial: bool = False  #: parallel execution was abandoned
     pool_respawns: int = 0         #: worker pools killed and respawned
     #: Shard-scheduler account (:class:`repro.runtime.shard.ShardInfo`)
     #: when the sweep ran sharded; ``None`` for flat sweeps.
     shards: Optional["ShardInfo"] = None
-    #: Wall-clock per phase accumulated in this process during the sweep
-    #: (``REPRO_PROFILE=1``); empty when profiling is off.  Parallel
-    #: sweeps only see the parent's phases — per-cell breakdowns come
-    #: from worker stderr.
+    #: Wall-clock per phase spent on the sweep (``REPRO_PROFILE=1``),
+    #: worker cells included; empty when profiling is off.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     def _with_status(self, status: str) -> List[CellOutcome]:
@@ -415,16 +413,18 @@ class Journal:
 # ----------------------------------------------------------------------
 
 def _pool_cell(fn: Callable, cell, index: int, attempt: int,
-               inject: bool, shard: Optional[int] = None):
+               inject: bool):
     """Worker-side shim: apply injected faults, then run the cell.
 
-    Under a sharded sweep ``shard`` labels the worker's profile output,
-    so per-cell phase lines on stderr stay attributable per shard.
+    Under ``REPRO_PROFILE=1`` the result comes back as a
+    :class:`~repro.runtime.profile.Captured` carrying the cell's phase
+    delta and per-cell lines; :func:`_record_success` replays them in
+    the parent.
     """
-    if shard is not None:
-        profile.set_shard(shard)
     if inject:
         faults.apply_cell_faults(index, attempt, isolated=True)
+    if profile.enabled():
+        return profile.capture(fn, cell)
     return fn(cell)
 
 
@@ -475,10 +475,11 @@ def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
 
 
 def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
-                  warm: Optional[Callable[[Sequence], None]] = None,
                   label: Optional[str] = None,
                   inject_faults: bool = True,
-                  shards: Optional[int] = None) -> SweepResult:
+                  shards: Optional[int] = None,
+                  groups: Optional[Sequence[Optional[Hashable]]] = None,
+                  ) -> SweepResult:
     """Order-preserving resilient map of ``fn`` over ``cells``.
 
     Semantics match :func:`repro.runtime.executor.execute` — results in
@@ -494,6 +495,13 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
     per shard, and ``jobs=1`` runs one worker per shard.  Results and
     recovery semantics are identical either way — sharding only moves
     wall-clock, never numbers.
+
+    ``groups`` gives one key per cell (``None``: a group of its own).
+    Cells sharing a key stay on one shard and run back to back, so a
+    worker resolves each shared input once; a keyed sweep on several
+    workers defaults to one shard per worker instead of one shared
+    queue.  Keys change placement and order only: cell indices, journal
+    entries and fault targets keep their meaning.
     """
     from . import shard as shard_mod
     from .executor import n_jobs, unpicklable_reason
@@ -509,8 +517,10 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
         faults.validate()
 
     jobs = n_jobs() if jobs is None else jobs
-    n_shards = shard_mod.shard_count() if shards is None else shards
-    n_shards = max(1, n_shards)
+    if shards is None:
+        shards = shard_mod.shard_count(
+            default=jobs if groups is not None else 1)
+    n_shards = max(1, shards)
     policy = shard_mod.shard_policy()  # validated even when unsharded
     report = SweepReport(label=label, n_cells=len(cells), jobs=jobs,
                          outcomes=[CellOutcome(i)
@@ -529,7 +539,8 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
 
     pending = [i for i in range(len(cells)) if not done[i]]
     sharded = n_shards > 1 and len(pending) > 1
-    plan = shard_mod.partition(cells, n_shards if sharded else 1, policy)
+    plan = shard_mod.partition(cells, n_shards if sharded else 1, policy,
+                               groups=groups)
     workers = plan.n_shards if sharded and jobs <= 1 else jobs
     workers = max(1, min(workers, len(pending)))
 
@@ -542,15 +553,9 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
                     f"serial execution: {reason}",
                     RuntimeWarning, stacklevel=3)
                 workers = 1
-                plan = shard_mod.partition(cells, 1, policy)
-            elif warm is not None:
-                try:
-                    warm(cells)
-                except Exception as exc:
-                    warnings.warn(
-                        f"sweep warm-up failed ({exc!r}); cells will "
-                        f"compute their own inputs", RuntimeWarning,
-                        stacklevel=3)
+                plan = shard_mod.partition(cells, 1, policy,
+                                           groups=groups)
+        report.jobs = workers
         if plan.n_shards > 1:
             report.shards = shard_mod.ShardInfo(
                 n_shards=plan.n_shards, policy=plan.policy,
@@ -577,6 +582,8 @@ def run_resilient(fn: Callable, cells, jobs: Optional[int] = None,
 
 def _record_success(index: int, value, results, done, report, journal,
                     shard: Optional[int] = None) -> None:
+    if isinstance(value, profile.Captured):
+        value = value.replay(shard)
     results[index] = value
     done[index] = True
     outcome = report.outcomes[index]

@@ -3,16 +3,25 @@
 Every sweep runs through :func:`run_sweep_loop`.  A sweep's cells are
 first *partitioned* into shards (:func:`partition`); a flat sweep is a
 single shard, a sharded one (``REPRO_SHARDS`` > 1) uses the policy from
-``REPRO_SHARD_POLICY``:
+``REPRO_SHARD_POLICY``.  The unit of placement is a *group*: cells that
+share a group key (the suite sweeps key by program, so one program's
+cells share its fetch input and PHT fronts) always land on one shard,
+and a cell without a key is a group of its own.  The policies:
 
-* ``hash`` — cells land on ``sha256(pickle(cell)) % n``; stable under
-  reordering of the sweep, so the same cell always homes on the same
-  shard across runs.
-* ``range`` — contiguous index blocks, sizes differing by at most one;
-  the natural choice when neighbouring cells share warm caches.
+* ``hash`` — a group lands on ``sha256(pickle(key)) % n`` (an unkeyed
+  cell hashes itself); stable under reordering of the sweep, so the same
+  group always homes on the same shard across runs.
+* ``range`` — contiguous runs of groups in first-appearance order,
+  balanced by cell count (for unkeyed cells: index blocks with sizes
+  differing by at most one).
 * ``size`` (default) — deterministic longest-processing-time greedy over
-  per-cell cost estimates (uniform when none are known), which keeps
-  shard loads balanced when cell costs are skewed.
+  per-group cost estimates (the sum of the cells' estimates, uniform
+  when none are known), which keeps shard loads balanced when costs are
+  skewed.
+
+Each shard queue drains group by group, groups in first-appearance
+order and cells by index within a group, so a worker finishes one
+program before it starts the next.
 
 Execution then goes through :class:`ShardScheduler` — a *pure* decision
 core with an injected clock and no I/O, shared verbatim between the real
@@ -42,13 +51,14 @@ import os
 import pickle
 import time
 import warnings
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Deque, Dict, Hashable, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 from .executor import count_from_env
 from .resilience import FAILED
@@ -64,6 +74,9 @@ DEFAULT_POLICY = "size"
 
 #: Pickle protocol for hash-policy cell digests (stable across runs).
 _PICKLE_PROTOCOL = 4
+
+#: Group-key tag of a cell without a key: a group of its own.
+_OWN = object()
 
 #: Scheduler verdicts returned by :meth:`ShardScheduler.fail`.
 RETRY = "retry"
@@ -99,10 +112,19 @@ class ShardPlan:
     n_shards: int
     policy: str
     assignment: Tuple[int, ...]   #: shard id per global cell index
+    #: Group rank per global cell index (groups numbered in order of
+    #: first appearance); empty when every cell is its own group.
+    groups: Tuple[int, ...] = ()
 
     @property
     def n_cells(self) -> int:
         return len(self.assignment)
+
+    def drain_order(self, cells: Iterable[int]) -> List[int]:
+        """``cells`` group by group, by index within a group."""
+        if not self.groups:
+            return sorted(cells)
+        return sorted(cells, key=lambda i: (self.groups[i], i))
 
     def shard_of(self, index: int) -> int:
         return self.assignment[index]
@@ -128,12 +150,18 @@ def _cell_digest(cell: object, index: int) -> int:
 
 def partition(cells: Sequence, n_shards: int,
               policy: str = DEFAULT_POLICY,
-              costs: Optional[Sequence[float]] = None) -> ShardPlan:
-    """Assign every cell to a shard under ``policy``, deterministically.
+              costs: Optional[Sequence[float]] = None,
+              groups: Optional[Sequence[Optional[Hashable]]] = None,
+              ) -> ShardPlan:
+    """Assign every group of cells to a shard under ``policy``.
 
-    ``costs`` (per-cell cost estimates, same length as ``cells``) steer
-    the ``size`` policy; the other policies ignore them.  The shard
-    count is clamped to the cell count so no shard starts empty.
+    ``groups`` (one key per cell, ``None`` for a cell of its own) keeps
+    cells sharing a key on one shard; without it every cell is its own
+    group and placement is per cell.  ``costs`` (per-cell cost
+    estimates, same length as ``cells``) steer the ``size`` policy; the
+    other policies ignore them.  The shard count is clamped to the group
+    count.  Deterministic: the same cells, keys and costs always give the
+    same plan.
     """
     if policy not in POLICIES:
         raise ValueError(
@@ -142,32 +170,55 @@ def partition(cells: Sequence, n_shards: int,
     n = len(cells)
     if n == 0:
         return ShardPlan(n_shards=1, policy=policy, assignment=())
-    n_shards = max(1, min(int(n_shards), n))
+    keys = [None] * n if groups is None else list(groups)
+    if len(keys) != n:
+        raise ValueError(f"groups length {len(keys)} != cell count {n}")
+    # Groups are ranked by first appearance; an unkeyed cell gets a
+    # private key no caller can pass.
+    rank_of: Dict[Hashable, int] = {}
+    ranks = [rank_of.setdefault(key if key is not None else (_OWN, i),
+                                len(rank_of))
+             for i, key in enumerate(keys)]
+    members: List[List[int]] = [[] for _ in rank_of]
+    for i, rank in enumerate(ranks):
+        members[rank].append(i)
+    n_groups = len(members)
+    n_shards = max(1, min(int(n_shards), n_groups))
     if n_shards == 1:
-        assignment = [0] * n
+        placed = [0] * n_groups
     elif policy == "hash":
-        assignment = [_cell_digest(cell, i) % n_shards
-                      for i, cell in enumerate(cells)]
+        placed = [_cell_digest(cells[m[0]] if keys[m[0]] is None
+                               else keys[m[0]], m[0]) % n_shards
+                  for m in members]
     elif policy == "range":
+        # A group goes to the shard whose index block holds its first
+        # cell count, advancing at most one shard per group and leaving
+        # enough groups for every later shard.
         base, extra = divmod(n, n_shards)
-        assignment = []
-        for s in range(n_shards):
-            assignment.extend([s] * (base + (1 if s < extra else 0)))
-    else:  # size: LPT greedy — heaviest cell first, least-loaded shard
+        starts = [s * base + min(s, extra) for s in range(n_shards)]
+        placed, seen, prev = [], 0, -1
+        for g, m in enumerate(members):
+            block = bisect_right(starts, seen) - 1
+            prev = max(n_shards - (n_groups - g), min(block, prev + 1))
+            placed.append(prev)
+            seen += len(m)
+    else:  # size: LPT greedy — heaviest group first, least-loaded shard
         weights = ([float(c) for c in costs] if costs is not None
                    else [1.0] * n)
         if len(weights) != n:
             raise ValueError(
                 f"costs length {len(weights)} != cell count {n}")
-        order = sorted(range(n), key=lambda i: (-weights[i], i))
+        load = [sum(weights[i] for i in m) for m in members]
+        order = sorted(range(n_groups), key=lambda g: (-load[g], g))
         loads = [0.0] * n_shards
-        assignment = [0] * n
-        for i in order:
+        placed = [0] * n_groups
+        for g in order:
             s = min(range(n_shards), key=lambda k: (loads[k], k))
-            assignment[i] = s
-            loads[s] += weights[i]
+            placed[g] = s
+            loads[s] += load[g]
     return ShardPlan(n_shards=n_shards, policy=policy,
-                     assignment=tuple(assignment))
+                     assignment=tuple(placed[r] for r in ranks),
+                     groups=tuple(ranks) if groups is not None else ())
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +273,8 @@ class ShardScheduler:
     given, and the steal audit trail; callers own execution.
 
     Dispatch order is deterministic given the plan, the pending set and
-    the sequence of ``acquire``/``complete``/``fail`` calls: home shards
+    the sequence of ``acquire``/``complete``/``fail`` calls: queues start
+    in the plan's :meth:`~ShardPlan.drain_order`, home shards
     are scanned in ascending id, steals take from the longest queue with
     ties to the lowest shard id, and deferred retries re-enter their
     home queue in ``(ready_at, cell)`` order.
@@ -242,7 +294,7 @@ class ShardScheduler:
         self._cells = set(pending)
         self._queues: List[Deque[int]] = [deque()
                                           for _ in range(plan.n_shards)]
-        for index in sorted(self._cells):
+        for index in plan.drain_order(self._cells):
             self._queues[plan.assignment[index]].append(index)
         #: (ready_at, cell) retries deferred for backoff.
         self._waiting: List[Tuple[float, int]] = []
@@ -456,8 +508,7 @@ class _Worker:
     deadline: Optional[float] = None
 
     def start(self, fn: Callable, cell: object, assignment: Assignment,
-              inject: bool, shard: Optional[int],
-              timeout: Optional[float]) -> None:
+              inject: bool, timeout: Optional[float]) -> None:
         from . import resilience as res
 
         if self.in_process:
@@ -474,7 +525,7 @@ class _Worker:
             self.pool = res._new_pool()
         self.future = self.pool.submit(
             res._pool_cell, fn, cell, assignment.cell, assignment.attempt,
-            inject, shard)
+            inject)
         self.deadline = (time.monotonic() + timeout
                          if timeout is not None else None)
 
@@ -527,7 +578,7 @@ def run_sweep_loop(fn: Callable, cells: Sequence,
                 continue
             try:
                 slot.start(fn, cells[assignment.cell], assignment, inject,
-                           assignment.shard if sharded else None, timeout)
+                           timeout)
             except (BrokenProcessPool, OSError, RuntimeError):
                 scheduler.unacquire(worker)
                 report.pool_respawns += 1
@@ -610,5 +661,6 @@ def run_sweep_loop(fn: Callable, cells: Sequence,
         report.shards.cells_done = scheduler.shard_progress()
     if remaining:
         run_sweep_loop(fn, cells, remaining, results, done, report,
-                       partition(cells, 1, plan.policy), 1, retries,
+                       partition(cells, 1, plan.policy,
+                                 groups=plan.groups or None), 1, retries,
                        None, inject, journal)

@@ -1,5 +1,7 @@
 """CLI smoke tests (small budgets keep them fast)."""
 
+import os
+
 import pytest
 
 from repro.__main__ import main
@@ -21,6 +23,39 @@ class TestCLI:
         assert main(["fig6", "--budget", "20000"]) == 0
         out = capsys.readouterr().out
         assert "blocked miss" in out
+
+    def test_parallel_default_leaves_jobs_env_unset(self, capsys,
+                                                    monkeypatch):
+        from repro.runtime.executor import JOBS_ENV
+
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        assert main(["fig6", "--budget", "5000"]) == 0
+        assert JOBS_ENV not in os.environ
+        assert "blocked miss" in capsys.readouterr().out
+
+    def test_jobs_flag_matches_parallel_default(self, capsys,
+                                                monkeypatch):
+        from repro.runtime.executor import JOBS_ENV
+
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        assert main(["fig9", "--budget", "5000"]) == 0
+        default_out = capsys.readouterr().out
+        assert main(["fig9", "--budget", "5000", "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == default_out
+        assert JOBS_ENV not in os.environ
+
+    def test_profiled_sweep_prints_its_report(self, capsys, monkeypatch):
+        from repro.runtime.profile import PROFILE_ENV
+
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        assert main(["fig9", "--budget", "5000"]) == 0
+        summary = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("sweep fig9:")]
+        assert len(summary) == 1 and "engine=" in summary[0]
+
+    def test_bad_jobs_flag_exits_2(self, capsys):
+        assert main(["fig6", "--budget", "5000", "--jobs", "many"]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_run_single_block(self, capsys):
         assert main(["run", "swim", "--budget", "20000",

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import EngineConfig
 from repro.icache import CacheGeometry
-from repro.runtime import cache
 from repro.runtime.executor import (
     JOBS_ENV,
     SuiteSpec,
@@ -15,7 +14,6 @@ from repro.runtime.executor import (
     n_jobs,
     run_suite_specs,
     unpicklable_reason,
-    warm_fetch_inputs,
 )
 
 BUDGET = 5_000
@@ -79,11 +77,6 @@ class TestExecute:
     def test_empty_cells(self):
         assert execute(_square, [], jobs=4) == []
 
-    def test_warm_hook_skipped_when_serial(self):
-        calls = []
-        execute(_square, [1, 2], jobs=1, warm=calls.append)
-        assert calls == []
-
 
 class TestUnpicklableReason:
     def test_picklable_work_has_no_reason(self):
@@ -100,30 +93,6 @@ class TestUnpicklableReason:
         reason = unpicklable_reason(_square, cells)
         assert reason is not None
         assert "cell 1" in reason
-
-
-class TestWarmFetchInputs:
-    def test_bad_warm_cell_warns_but_does_not_raise(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-        geometry = CacheGeometry.normal(8)
-        with pytest.warns(RuntimeWarning, match="warm-up failed"):
-            warm_fetch_inputs([("no-such-workload", geometry, BUDGET)],
-                              jobs=1)
-
-    def test_good_and_bad_cells_mix(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-        geometry = CacheGeometry.normal(8)
-        # Only the bad cell is reported; the good one warms normally.
-        with pytest.warns(RuntimeWarning, match="failed for 1 input"):
-            warm_fetch_inputs([("compress", geometry, BUDGET),
-                               ("no-such-workload", geometry, BUDGET)],
-                              jobs=1)
-
-    def test_disabled_cache_is_a_noop(self, monkeypatch):
-        monkeypatch.setenv(cache.CACHE_DIR_ENV, "off")
-        warm_fetch_inputs([("no-such-workload", CacheGeometry.normal(8),
-                            BUDGET)], jobs=1)  # must not raise or warn
 
 
 class TestSuiteSpecs:
@@ -154,3 +123,19 @@ class TestSuiteSpecs:
 
         assert list(int_agg.per_program) == SPECINT95
         assert list(fp_agg.per_program) == SPECFP95
+
+
+def test_serial_fig8_resolves_one_front_per_program_and_history():
+    """Program-major order: each (program, GHR) front misses once."""
+    from repro.core import fast
+    from repro.experiments.fig8 import DEFAULT_HISTORY, run_fig8
+    from repro.workloads import SPEC95
+
+    fast.clear_front_cache()
+    hits, misses = fast.front_lookups()
+    run_fig8(budget=2_000, jobs=1)
+    new_hits, new_misses = fast.front_lookups()
+    # One walk front per (program, history length), plus one RAS
+    # replay per program (the RAS does not depend on the history).
+    assert new_misses - misses == len(SPEC95) * (len(DEFAULT_HISTORY) + 1)
+    assert new_hits > new_misses - misses

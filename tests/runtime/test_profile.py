@@ -119,3 +119,24 @@ def test_cell_lines_report_front_reuse(monkeypatch, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert [line.rsplit(" ", 1)[1] for line in lines] == \
         ["front=miss", "front=hit"]
+
+
+def test_worker_cells_report_to_the_parent(monkeypatch, capsys):
+    """Two workers: one line per cell, engine time in the report."""
+    from repro.core import EngineConfig
+    from repro.icache import CacheGeometry
+    from repro.runtime.executor import (SuiteSpec, _suite_names,
+                                        run_suite_specs)
+    from repro.runtime.resilience import drain_reports
+
+    monkeypatch.setenv(PROFILE_ENV, "1")
+    drain_reports()
+    spec = SuiteSpec("int", EngineConfig(geometry=CacheGeometry.normal(8)),
+                     3_000)
+    run_suite_specs([spec], jobs=2, label="profiled")
+    report, = drain_reports()
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("[profile]")]
+    assert report.jobs == 2
+    assert len(lines) == len(_suite_names("int")) == report.n_cells
+    assert report.phase_seconds["engine"] > 0

@@ -179,6 +179,22 @@ class TestFlatSweeps:
         assert all(o.shard is None and not o.stolen
                    for o in sweep.report.outcomes)
 
+    def test_keyed_sweep_gets_a_shard_per_worker(self, schedulers):
+        keys = ["a", "b", "c"] * 2
+        sweep = run_resilient(_square, CELLS, jobs=2, groups=keys)
+        assert sweep.results == EXPECTED
+        assert [s.plan.n_shards for s in schedulers] == [2]
+        assert sweep.report.shards.n_shards == 2
+
+    def test_keyed_sweep_honours_explicit_shards(self, monkeypatch,
+                                                 schedulers):
+        monkeypatch.setenv(shard.SHARDS_ENV, "1")
+        keys = ["a", "b", "c"] * 2
+        sweep = run_resilient(_square, CELLS, jobs=2, groups=keys)
+        assert sweep.results == EXPECTED
+        assert [s.plan.n_shards for s in schedulers] == [1]
+        assert sweep.report.shards is None
+
     def test_single_worker_runs_in_process(self):
         sweep = run_resilient(_square_and_pid, CELLS, jobs=1)
         assert {pid for _, pid in sweep.results} == {os.getpid()}
@@ -192,6 +208,25 @@ class TestFlatSweeps:
         journal = next((tmp_path / "journal").iterdir())
         assert sorted(p.name for p in journal.iterdir()) == \
             [f"cell-{i}.pkl" for i in range(5)]
+
+
+class TestReportedWorkers:
+    """``SweepReport.jobs`` is the worker count the sweep ran on."""
+
+    def test_requested_count_when_every_worker_is_used(self):
+        assert run_resilient(_square, CELLS, jobs=2).report.jobs == 2
+
+    def test_clamped_to_pending_cells(self):
+        sweep = run_resilient(_square, [1, 2], jobs=4)
+        assert sweep.results == [1, 4]
+        assert sweep.report.jobs == 2
+
+    def test_unpicklable_fallback_records_one_worker(self):
+        double = lambda x: 2 * x  # noqa: E731 — deliberately unpicklable
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            sweep = run_resilient(double, CELLS, jobs=4)
+        assert sweep.results == [2 * x for x in CELLS]
+        assert sweep.report.jobs == 1
 
 
 class TestCrashRecovery:

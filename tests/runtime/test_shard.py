@@ -135,6 +135,95 @@ class TestPartition:
                 == partition(CELLS, 4, policy)
 
 
+#: Twelve cells of four programs, interleaved the way a suite sweep
+#: lays them out (spec-major), plus the group key of each.
+GROUPED = [(spec, name) for spec in range(3) for name in "abcd"]
+KEYS = [name for _, name in GROUPED]
+
+
+class TestGroupedPartition:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n_shards", [2, 3, 4])
+    def test_every_group_on_one_shard(self, policy, n_shards):
+        plan = partition(GROUPED, n_shards, policy, groups=KEYS)
+        homes = {}
+        for key, home in zip(KEYS, plan.assignment):
+            assert homes.setdefault(key, home) == home, key
+        assert plan.n_shards == n_shards
+        assert all(0 <= s < n_shards for s in plan.assignment)
+
+    def test_shards_clamped_to_group_count(self):
+        plan = partition(GROUPED, 8, "range", groups=KEYS)
+        assert plan.n_shards == 4
+
+    @pytest.mark.parametrize("policy", ["range", "size"])
+    def test_range_and_size_leave_no_shard_empty(self, policy):
+        # One heavy group ahead of light ones must not starve a shard.
+        keys = ["big"] * 9 + ["x", "y", "z"]
+        plan = partition(list(range(12)), 3, policy, groups=keys)
+        assert all(plan.counts())
+
+    def test_size_balances_group_loads(self):
+        keys = ["a"] * 6 + ["b"] * 3 + ["c"] * 3
+        plan = partition(list(range(12)), 2, "size", groups=keys)
+        assert plan.counts() == [6, 6]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_unkeyed_cells_place_as_before(self, policy):
+        # A cell without a key is its own group: all-None keys, and no
+        # keys at all, give today's per-cell plan.
+        plain = partition(CELLS, 5, policy)
+        keyed = partition(CELLS, 5, policy, groups=[None] * len(CELLS))
+        assert keyed.assignment == plain.assignment
+        assert plain.drain_order(CELLS) == CELLS
+
+    def test_range_unkeyed_blocks_unchanged(self):
+        plan = partition(list(range(7)), 3, "range")
+        assert plan.assignment == (0, 0, 0, 1, 1, 2, 2)
+
+    def test_groups_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="groups length"):
+            partition([1, 2, 3], 2, "size", groups=["a"])
+
+
+class TestGroupMajorDrain:
+    def _drain(self, plan, n_workers=1):
+        outcomes = [CellOutcome(i) for i in range(plan.n_cells)]
+        sched = ShardScheduler(plan, list(range(plan.n_cells)), n_workers,
+                               0, clock=lambda: 0.0, outcomes=outcomes)
+        order = []
+        while not sched.finished:
+            order.append(sched.acquire(0).cell)
+            sched.complete(0)
+        return order
+
+    def test_single_queue_drains_group_by_group(self):
+        plan = partition(GROUPED, 1, "size", groups=KEYS)
+        order = self._drain(plan)
+        assert [KEYS[i] for i in order] == \
+            ["a"] * 3 + ["b"] * 3 + ["c"] * 3 + ["d"] * 3
+        # Within a group, cells keep index order.
+        assert order[:3] == [0, 4, 8]
+
+    def test_each_shard_queue_drains_group_by_group(self):
+        plan = partition(GROUPED, 2, "size", groups=KEYS)
+        order = self._drain(plan, n_workers=1)
+        runs = [KEYS[order[0]]]
+        for i in order[1:]:
+            if KEYS[i] != runs[-1]:
+                runs.append(KEYS[i])
+        assert sorted(runs) == ["a", "b", "c", "d"]  # no group split
+
+    def test_mixed_keys_keep_unkeyed_cells_in_index_order(self):
+        keys = [None, "p", None, "p", None]
+        plan = partition(list(range(5)), 1, "size", groups=keys)
+        assert self._drain(plan) == [0, 1, 3, 2, 4]
+
+    def test_ungrouped_drain_order_is_index_order(self):
+        plan = partition(CELLS, 1, "size")
+        assert self._drain(plan) == CELLS
+
+
 def _scheduler(n_cells=8, n_shards=4, n_workers=2, retries=1,
                clock=lambda: 0.0, backoff=None):
     plan = partition(list(range(n_cells)), n_shards, "range")
