@@ -17,23 +17,27 @@ Each run is split into a ``_prep_*`` front half (counter scan,
 divergence charges, RAS replay — everything vectorizable without
 aliasing state) and a ``_residual_*`` back half that replays the
 select-table and target-array event streams through the keyed
-last-write replay (:func:`repro.core.kernels.replay_last_write`).  The
-PHT and RAS part of the front half is shared across runs that differ
-only in selection scheme or select tables (see *Shared PHT front*).
+last-write replay (:func:`repro.core.kernels.replay_last_write`), one
+stream per table.  The PHT and RAS part of the front half is shared
+across runs that differ only in selection scheme or select tables, and
+so is everything derived from it that no configuration changes: the
+divergence masks and the replays of select tables and target arrays
+that start fresh (see *Shared PHT front* below and
+``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..icache.geometry import SELF_ALIGNED
-from ..predictors.evaluate import packed_history
+from ..predictors.evaluate import _grouping_order, packed_history
 from ..predictors.ghr import BlockOutcomes
 from ..targets.bit import BitCode
 from ..targets.btb import BlockBTB
@@ -97,6 +101,14 @@ def _charge_bulk(stats: FetchStats, kind: PenaltyKind, count: int,
 # replays it from this LRU.  Entries are compact and read-only; each
 # holds its ``CompiledBlocks``, so the ``id`` in its key is never
 # reused while the entry lives.
+#
+# A walk front also carries what later phases derive from it alone
+# (``_WalkFront.derived``): the divergence masks, and the residual
+# replays of select tables and target arrays that start fresh.  Those
+# keys name the engine's slot layout (``_Layout``) and the table or
+# array shape, since engines that share a walk do not share slots.  A
+# table that does not start fresh is replayed afresh, and runs with a
+# separate BIT table (no front) share nothing.
 
 #: Front LRU bound: one walk and one RAS entry for every program of one
 #: spec stride over the largest suite (the 10 SPECfp95 analogs), so
@@ -105,6 +117,8 @@ FRONT_CAP = 2 * 10
 
 _front: "OrderedDict[tuple, object]" = OrderedDict()
 _front_lookups = {"hit": 0, "miss": 0}
+#: Per residual kind: [shared results reused, replays computed].
+_residual_lookups = {"select": [0, 0], "target": [0, 0]}
 
 
 @dataclass(frozen=True)
@@ -116,6 +130,8 @@ class _WalkFront:
     base: np.ndarray          #: int32[n] flat PHT entry base per block
     final_slots: np.ndarray   #: int32 written PHT slots, ascending
     final_states: np.ndarray  #: int8 their post-run counter states
+    #: Configuration-independent results derived from this front.
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,6 +143,27 @@ class _RasFront:
     slots: Tuple[int, ...]
     top: int
     depth: int
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How an engine maps blocks to fetch slots and anchors."""
+
+    kind: str    #: engine family ("single", "dual", "multi", "two_ahead")
+    group: int   #: blocks fetched together (= fetch slots)
+    ahead: bool  #: blocks index through the previous block's address
+
+
+@dataclass(frozen=True)
+class _Divergence:
+    """Per-block walk-vs-actual classes, fixed by the front."""
+
+    match: np.ndarray      #: bool[n] predicted exit == actual exit
+    early: np.ndarray      #: bool[n] predicted exit before the actual
+    late: np.ndarray       #: bool[n] predicted exit after the actual
+    remaining: np.ndarray  #: bool[n] instructions follow the predicted exit
+    near_ok: np.ndarray    #: bool[n] match served by a near-block target
+    mf: np.ndarray         #: uint8[n] misfetch kind (``misfetch_kinds``)
 
 
 def _frozen(array: np.ndarray, dtype=None) -> np.ndarray:
@@ -153,13 +190,25 @@ def _front_put(key: tuple, entry) -> None:
 
 
 def clear_front_cache() -> None:
-    """Drop every shared front (``repro.workloads.clear_caches``)."""
+    """Drop every shared front and what was derived from it
+    (``repro.workloads.clear_caches``)."""
     _front.clear()
 
 
 def front_lookups() -> Tuple[int, int]:
     """``(hits, misses)`` of front lookups so far in this process."""
     return _front_lookups["hit"], _front_lookups["miss"]
+
+
+def residual_lookups() -> Dict[str, Tuple[int, int]]:
+    """``{"select"|"target": (shared, replayed)}`` so far in this process.
+
+    ``select`` counts one per table stream, ``target`` one per target
+    array replay; ``shared`` are results reused from a walk front,
+    ``replayed`` those computed (to share, or afresh).
+    """
+    return {kind: (counts[0], counts[1])
+            for kind, counts in _residual_lookups.items()}
 
 
 def front_outcome(since: Tuple[int, int]) -> Optional[str]:
@@ -199,12 +248,31 @@ class _Run:
                              if ahead else start)
         self.walk: WalkArrays = None  # set by resolve()
         self.base = None
-        self.pred_exit = None  # decoded once per run by classify()
+        self.front: Optional[_WalkFront] = None  # shared walk, if any
         self.stale_walk = None
         self.stale = None
-        self.match = None    # divergence masks + residual inputs,
-        self.near_ok = None  # populated by the engine preps for the
-        self.mf = None       # residual replay
+        self.match = None    # divergence masks the residual replay
+        self.near_ok = None  # reads, set by classify()
+        self.mf = None
+
+    def derive(self, key: tuple, compute: Callable, counter: str = None):
+        """``compute()``, shared through the walk front under ``key``.
+
+        Runs without a front (separate BIT table) and ``key=None``
+        compute afresh.  ``counter`` names the :func:`residual_lookups`
+        tally the lookup lands in.
+        """
+        derived = None if self.front is None or key is None \
+            else self.front.derived
+        value = None if derived is None else derived.get(key)
+        hit = value is not None
+        if not hit:
+            value = compute()
+            if derived is not None:
+                derived[key] = value
+        if counter is not None:
+            _residual_lookups[counter][0 if hit else 1] += 1
+        return value
 
     # -- PHT base indices ------------------------------------------------
 
@@ -255,6 +323,7 @@ class _Run:
                     _frozen(final_slots, np.int32),
                     _frozen(final_states, np.int8))
                 _front_put(key, front)
+            self.front = front
             self.walk = front.walk
             self.base = front.base
             final_slots, final_states = front.final_slots, front.final_states
@@ -313,15 +382,35 @@ class _Run:
 
     # -- divergence classes ---------------------------------------------
 
-    def classify(self):
-        """(match, early, late) masks; halt blocks are never charged."""
-        p = self.pred_exit = self.walk.pred_exit
-        act = self.compiled.act_exit
-        live = ~self.compiled.is_halt
-        return p == act, (p < act) & live, (p > act) & live
+    def classify(self) -> _Divergence:
+        """Divergence classes (halt blocks are never charged).
 
-    def cond_charges(self, early, late, slot_arr, base_arr,
-                     slot2_extra, late_extra: bool):
+        Sets the ``match``/``near_ok``/``mf`` inputs of the residual
+        replay; the classes depend only on the front, so they are
+        derived once per front.
+        """
+        div = self.derive(("divergence",), self._divergence)
+        self.match, self.near_ok, self.mf = div.match, div.near_ok, div.mf
+        return div
+
+    def _divergence(self) -> _Divergence:
+        compiled = self.compiled
+        walk = self.walk
+        p = walk.pred_exit
+        act = compiled.act_exit
+        live = ~compiled.is_halt
+        match = p == act
+        return _Divergence(
+            match=_frozen(match),
+            early=_frozen((p < act) & live),
+            late=_frozen((p > act) & live),
+            remaining=_frozen((compiled.n_instr - 1 - p) > 0),
+            near_ok=_frozen(match & (walk.src == SRC_NEAR)),
+            mf=_frozen(self.misfetch_kinds()))
+
+    @staticmethod
+    def cond_charges(div: _Divergence, slot_arr, base_arr, slot2_extra,
+                     late_extra: bool):
         """COND count/cycles per the engines' shared footnote rules.
 
         ``slot2_extra`` marks blocks that always pay +1 (second-slot
@@ -329,10 +418,10 @@ class _Run:
         instructions remained; ``late_extra`` adds +1 on LATE when
         not-taken targets are untracked.
         """
+        early, late = div.early, div.late
         charged = early | late
-        remaining = (self.compiled.n_instr - 1 - self.pred_exit) > 0
         cycles = base_arr[slot_arr] + slot2_extra.astype(np.int64)
-        cycles += (~slot2_extra) & early & remaining
+        cycles += (~slot2_extra) & early & div.remaining
         if late_extra:
             cycles += late
         count = int(np.count_nonzero(charged))
@@ -427,14 +516,20 @@ def _line_codes_tuple(compiled: CompiledBlocks, line: int,
 # stored target where the walk used it, then train it).  Tag-less
 # tables resolve both in one :func:`replay_last_write` each; only the
 # set-associative BTB targets, whose LRU lookups side-effect, keep a
-# per-event loop.
+# per-event loop.  A replay of a table that starts fresh depends only
+# on the front, the engine's layout and the table shape, so it is
+# shared through the walk front as per-slot charge counts plus the
+# final (key, value) write-back.
 
-def _charge_slots(stats: FetchStats, kind: PenaltyKind, hit: np.ndarray,
-                  slot: np.ndarray, cycles: np.ndarray) -> None:
-    """Charge every event in ``hit`` at its fetch slot's cycle cost."""
-    count = int(np.count_nonzero(hit))
-    if count:
-        _charge_bulk(stats, kind, count, int(cycles[slot[hit]].sum()))
+def _charge_counts(stats: FetchStats, kind: PenaltyKind,
+                   counts: np.ndarray, cycles: np.ndarray) -> None:
+    """Charge ``counts[s]`` events in fetch slot ``s`` at ``cycles[s]``."""
+    _charge_bulk(stats, kind, int(counts.sum()), int(counts @ cycles))
+
+
+def _is_fresh(store: list) -> bool:
+    """Whether a table's entry list has never been written."""
+    return store.count(None) == len(store)
 
 
 def _slot_cycles(cost, scheme: str, n_slots: int, kind: PenaltyKind,
@@ -452,8 +547,6 @@ def _slot_cycles(cost, scheme: str, n_slots: int, kind: PenaltyKind,
 
 def _seed_targets(store: List[Optional[int]]) -> np.ndarray:
     """Encoded NLS target store; -1 marks cold slots (targets are >= 0)."""
-    if store.count(None) == len(store):  # fresh array: skip the slot loop
-        return np.full(len(store), -1, dtype=np.int64)
     return np.array([-1 if t is None else t for t in store], dtype=np.int64)
 
 
@@ -476,44 +569,79 @@ def _btb_misses(targets, args, probe: np.ndarray, values: np.ndarray,
     return missed
 
 
-def _target_residual(run: _Run, stats: FetchStats, targets, arrays,
-                     todo: np.ndarray, slot: np.ndarray, anchor: np.ndarray,
-                     cycles) -> None:
+@dataclass(frozen=True)
+class _TargetReplay:
+    """A replayed target array: misfetches per slot and its write-back."""
+
+    immediate: np.ndarray  #: int64[slots] missed immediate targets
+    indirect: np.ndarray   #: int64[slots] missed indirect targets
+    keys: np.ndarray       #: int32 written slots across the halves
+    values: np.ndarray     #: int64 their final targets
+
+
+def _target_residual(run: _Run, stats: FetchStats, layout: _Layout,
+                     targets, arrays, events: Callable, cycles) -> None:
     """Replay the target array over every non-return taken exit.
 
-    ``todo`` are the exiting blocks in time order, ``slot`` their
-    0-based fetch slot (which also picks the dual/multi array half) and
-    ``anchor`` the line indexing their entry.  ``arrays`` lists the NLS
-    halves backing ``targets``, or is ``None`` for a BTB.  Mispredicted
-    targets charge misfetch ``cycles`` per slot.
+    ``events()`` returns ``(todo, slot, anchor)``: the exiting blocks in
+    time order, their 0-based fetch slot (which also picks the
+    dual/multi array half) and the line indexing their entry.
+    ``arrays`` lists the NLS halves backing ``targets``, or is ``None``
+    for a BTB.  Mispredicted targets charge misfetch ``cycles`` per
+    slot.
     """
-    compiled = run.compiled
-    position = compiled.exit_pc[todo] % run.line_size
-    values = compiled.exit_target[todo]
-    writes = ~run.near_ok[todo]
-    probe = run.match[todo] & ~run.near_ok[todo]
+    n_slots = layout.group
+    size = 0 if arrays is None else len(arrays[0]._targets)
+
+    def replay(init: Optional[np.ndarray]) -> _TargetReplay:
+        """The array's replay; ``init=None`` seeds fresh NLS halves."""
+        todo, slot, anchor = events()
+        compiled = run.compiled
+        position = compiled.exit_pc[todo] % run.line_size
+        values = compiled.exit_target[todo]
+        writes = ~run.near_ok[todo]
+        probe = run.match[todo] & writes
+        if arrays is None:
+            lines = anchor.tolist()
+            positions = position.tolist()
+            args = (zip(lines, positions) if isinstance(targets, BlockBTB)
+                    else zip((slot + 1).tolist(), lines, positions))
+            missed = _btb_misses(targets, args, probe, values, writes)
+            fin_k = fin_v = np.zeros(0, dtype=np.int64)
+        else:
+            first = arrays[0]
+            if init is None:
+                init = np.full(size * len(arrays), -1, dtype=np.int64)
+            keys = slot * size \
+                + (anchor % first.n_block_entries) * first.line_size \
+                + position
+            observed, fin_k, fin_v = replay_last_write(keys, values,
+                                                       writes, init)
+            missed = probe & (observed != values)
+        kind = run.mf[todo]
+        return _TargetReplay(
+            *(_frozen(np.bincount(slot[missed & (kind == code)],
+                                  minlength=n_slots))
+              for code in (1, 2)),
+            _frozen(fin_k, np.int32), _frozen(fin_v))
+
     if arrays is None:
-        lines = anchor.tolist()
-        positions = position.tolist()
-        args = (zip(lines, positions) if isinstance(targets, BlockBTB)
-                else zip((slot + 1).tolist(), lines, positions))
-        missed = _btb_misses(targets, args, probe, values, writes)
+        result = run.derive(None, partial(replay, None), "target")
     else:
         first = arrays[0]
-        size = len(first._targets)
-        keys = slot * size + (anchor % first.n_block_entries) \
-            * first.line_size + position
-        init = np.concatenate([_seed_targets(a._targets) for a in arrays])
-        observed, fin_k, fin_v = replay_last_write(keys, values, writes,
-                                                   init)
-        for k, v in zip(fin_k.tolist(), fin_v.tolist()):
+        if all(_is_fresh(a._targets) for a in arrays):
+            key = ("target", layout, len(arrays), first.n_block_entries,
+                   first.line_size)
+            result = run.derive(key, partial(replay, None), "target")
+        else:
+            result = run.derive(None, partial(replay, np.concatenate(
+                [_seed_targets(a._targets) for a in arrays])), "target")
+        for k, v in zip(result.keys.tolist(), result.values.tolist()):
             arrays[k // size]._targets[k % size] = v
-        missed = probe & (observed != values)
-    kind = run.mf[todo]
-    for code, penalty in ((1, PenaltyKind.MISFETCH_IMMEDIATE),
-                          (2, PenaltyKind.MISFETCH_INDIRECT)):
-        _charge_slots(stats, penalty, missed & (kind == code), slot,
-                      cycles(penalty))
+    _charge_counts(stats, PenaltyKind.MISFETCH_IMMEDIATE, result.immediate,
+                   cycles(PenaltyKind.MISFETCH_IMMEDIATE))
+    _charge_counts(stats, PenaltyKind.MISFETCH_INDIRECT, result.indirect,
+                   cycles(PenaltyKind.MISFETCH_INDIRECT))
 
 
 def _payload_levels(width: int) -> int:
@@ -552,51 +680,102 @@ def _seed_select(width: int, entries) -> np.ndarray:
     Cold entries pack to 0 — exactly the fall-through default a cold
     read returns — so reads need no presence check.
     """
-    if entries.count(None) == len(entries):
-        return np.zeros(len(entries), dtype=np.int64)
     return np.array([0 if e is None else _encode_select_entry(width, e)
                      for e in entries], dtype=np.int64)
 
 
-def _select_residual(run: _Run, stats: FetchStats, select, tables,
-                     blocks: np.ndarray, table_of: np.ndarray,
-                     writes: np.ndarray, group: int, double: bool,
-                     cycles) -> Dict[int, int]:
-    """Replay select-table verifications; return the final entries.
+@dataclass(frozen=True)
+class _SelectReplay:
+    """One select-table stream replayed: its charges and write-back."""
 
-    Event ``i`` verifies block ``blocks[i]``'s selection against table
-    ``table_of[i]`` (one of the packed entry lists ``tables``, all
-    shaped like ``select``) at its group anchor's slot, then overwrites
-    it when ``writes[i]``.  A selector mismatch charges MISSELECT, a
+    mis: int              #: MISSELECT verifications
+    ghr: int              #: payload-only (GHR) mismatches
+    keys: np.ndarray      #: int32 written table slots, ascending
+    values: np.ndarray    #: int32 their final packed entries
+
+
+def _select_residual(run: _Run, stats: FetchStats, layout: _Layout,
+                     select, streams, tables, double: bool,
+                     cycles) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Replay select-table verifications, one event stream per table.
+
+    Stream ``(offset, paired)`` verifies the blocks at group offset
+    ``offset`` (fetch slot ``offset + 1``) against its table at their
+    group anchor's slot, then overwrites it — only once the pair
+    completes when ``paired``.  ``tables`` lists each stream's table as
+    select entries, shaped like ``select``, or is ``None`` when every
+    table starts fresh.  A selector mismatch charges MISSELECT, a
     payload-only mismatch GHR, at ``cycles`` per slot; slot 1 is
-    verified only under ``double`` selection.
-    Returns ``{table * size + slot: packed entry}`` for written slots.
+    verified only under ``double`` selection.  Returns each stream's
+    written ``(keys, packed entries)``.
     """
     width = run.width
+    levels = _payload_levels(width)
+    group = layout.group
+    n_tables = select.n_tables
+    n_entries = select.n_entries
     walk = run.walk
-    size = select.n_tables * select.n_entries
-    slot = blocks % group
-    anchor = blocks - slot
-    line_table = (run.anchor_start[anchor] % run.line_size) \
-        % select.n_tables
-    keys = table_of * size + line_table * select.n_entries \
-        + (run.base[anchor] & (select.n_entries - 1))
-    sel = walk.sel[blocks].astype(np.int64)
-    packed = sel * _payload_levels(width) + walk.pay[blocks]
-    init = np.concatenate([_seed_select(width, t) for t in tables])
-    observed, fin_k, fin_v = replay_last_write(keys, packed, writes, init)
-    mis = observed // _payload_levels(width) != sel
+
+    def replay(offset: int, paired: bool,
+               init: Optional[np.ndarray]) -> _SelectReplay:
+        """One stream's replay; ``init=None`` seeds a fresh table."""
+        if init is None:
+            init = np.zeros(n_tables * n_entries, dtype=np.int64)
+        blocks = np.arange(offset, run.n, group, dtype=np.int64)
+        anchor = blocks - offset
+        keys = run.base[anchor].astype(np.int64) & (n_entries - 1)
+        # Events grouped by (base & mask) once per stream; the table
+        # index refines that grouping into the full key order.
+        order = run.derive(("select-order", layout, offset, n_entries),
+                           lambda low=keys: _frozen(_grouping_order(low),
+                                                    np.int32))
+        if n_tables > 1:
+            line_table = (run.anchor_start[anchor] % run.line_size) \
+                % n_tables
+            keys = keys + line_table * n_entries
+            order = order[np.argsort(line_table.astype(np.uint8)[order],
+                                     kind="stable")]
+        sel = walk.sel[blocks].astype(np.int64)
+        packed = sel * levels + walk.pay[blocks]
+        writes = (blocks + 1 < run.n) if paired \
+            else np.ones(len(blocks), dtype=bool)
+        observed, fin_k, fin_v = replay_last_write(keys, packed, writes,
+                                                   init, order=order)
+        mis = observed // levels != sel
+        return _SelectReplay(
+            int(np.count_nonzero(mis)),
+            int(np.count_nonzero(~mis & (observed != packed))),
+            _frozen(fin_k, np.int32), _frozen(fin_v, np.int32))
+
     first = 1 if double else 2
-    _charge_slots(stats, PenaltyKind.MISSELECT, mis, slot,
-                  cycles(PenaltyKind.MISSELECT, first))
-    _charge_slots(stats, PenaltyKind.GHR, ~mis & (observed != packed),
-                  slot, cycles(PenaltyKind.GHR, first))
-    return dict(zip(fin_k.tolist(), fin_v.tolist()))
+    mis_cycles = cycles(PenaltyKind.MISSELECT, first)
+    ghr_cycles = cycles(PenaltyKind.GHR, first)
+    mis = np.zeros(group, dtype=np.int64)
+    ghr = np.zeros(group, dtype=np.int64)
+    out = []
+    for i, (offset, paired) in enumerate(streams):
+        if tables is None:
+            result = run.derive(
+                ("select", layout, offset, paired, n_tables, n_entries),
+                partial(replay, offset, paired, None), "select")
+        else:
+            result = run.derive(None, partial(
+                replay, offset, paired, _seed_select(width, tables[i])),
+                "select")
+        mis[offset] += result.mis
+        ghr[offset] += result.ghr
+        out.append((result.keys, result.values))
+    _charge_counts(stats, PenaltyKind.MISSELECT, mis, mis_cycles)
+    _charge_counts(stats, PenaltyKind.GHR, ghr, ghr_cycles)
+    return out
 
 
 # ----------------------------------------------------------------------
 # Single-block engine
 # ----------------------------------------------------------------------
+
+_SINGLE = _Layout("single", 1, False)
+
 
 def run_single_fast(engine, fetch_input) -> FetchStats:
     """Vectorized :meth:`SingleBlockEngine.run` (no recovery tracking)."""
@@ -619,7 +798,6 @@ def _prep_single(engine, fetch_input) -> tuple:
     compiled = run.compiled
     n = run.n
     stats = _empty_stats(run.trace, n, base_cycles=n)
-    run.match = None
     if n == 0:
         return run, stats
     scheme = SINGLE_SELECT
@@ -642,39 +820,36 @@ def _prep_single(engine, fetch_input) -> tuple:
             bit._codes[slot] = _line_codes_tuple(compiled, line,
                                                  run.line_size)
 
-    match, early, late = run.classify()
+    div = run.classify()
     slot_arr = np.zeros(n, dtype=np.int64)
     base_arr = np.array([penalty_cycles(scheme, 1, PenaltyKind.COND)],
                         dtype=np.int64)
     count, cycles = run.cond_charges(
-        early, late, slot_arr, base_arr,
-        slot2_extra=np.zeros(n, dtype=bool),
+        div, slot_arr, base_arr, slot2_extra=np.zeros(n, dtype=bool),
         late_extra=not run.config.track_not_taken_targets)
     _charge_bulk(stats, PenaltyKind.COND, count, cycles)
 
     peeks = run.replay_ras(engine.ras)
-    ret_bad = match & run.is_ret & (peeks != compiled.exit_target)
+    ret_bad = div.match & run.is_ret & (peeks != compiled.exit_target)
     count = int(np.count_nonzero(ret_bad))
     _charge_bulk(stats, PenaltyKind.RETURN, count,
                  count * penalty_cycles(scheme, 1, PenaltyKind.RETURN))
-
-    run.match = match
-    run.near_ok = match & (walk.src == SRC_NEAR)
-    run.mf = run.misfetch_kinds()
     return run, stats
-
 
 
 def _residual_single(engine, run: _Run, stats: FetchStats) -> None:
     """Target array (tag-less NLS or set-associative BTB)."""
     compiled = run.compiled
     targets = engine.targets
-    todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
+
+    def events():
+        todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
+        return (todo, np.zeros(len(todo), dtype=np.int64),
+                compiled.exit_pc[todo] // run.line_size)
+
     _target_residual(
-        run, stats, targets,
-        [targets] if type(targets) is NLSTargetArray else None,
-        todo, np.zeros(len(todo), dtype=np.int64),
-        compiled.exit_pc[todo] // run.line_size,
+        run, stats, _SINGLE, targets,
+        [targets] if type(targets) is NLSTargetArray else None, events,
         partial(_slot_cycles, penalty_cycles, SINGLE_SELECT, 1))
 
 
@@ -682,12 +857,23 @@ def _residual_single(engine, run: _Run, stats: FetchStats) -> None:
 # Dual-block engine
 # ----------------------------------------------------------------------
 
+_DUAL = _Layout("dual", 2, False)
+
+
 def run_dual_fast(engine, fetch_input) -> FetchStats:
     """Vectorized :meth:`DualBlockEngine.run` (no timeline recording)."""
     run, stats = _prep_dual(engine, fetch_input)
     if run.n:
         _residual_dual(engine, run, stats)
     return stats
+
+
+def _pair_conflict_count(run: _Run) -> int:
+    """Bank conflicts of pairs (i+1, i+2) for every completed (i, i+1)."""
+    def count() -> int:
+        conflicts = pair_conflicts(run.compiled, run.geometry)
+        return int(np.count_nonzero(conflicts[1:run.n - 1:2]))
+    return run.derive(("pair-conflicts",), count)
 
 
 def _prep_dual(engine, fetch_input) -> tuple:
@@ -700,26 +886,24 @@ def _prep_dual(engine, fetch_input) -> tuple:
     compiled = run.compiled
     n = run.n
     stats = _empty_stats(run.trace, n, base_cycles=1 + (n - 1 + 1) // 2)
-    run.match = None
     if n == 0:
         return run, stats
     scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
     run.resolve()
-    walk = run.walk
 
-    match, early, late = run.classify()
+    div = run.classify()
     slot_arr = ((np.arange(n, dtype=np.int64) % 2) == 1) \
         .astype(np.int64)  # 0=slot1, 1=slot2
     base_arr = np.array(
         [penalty_cycles(scheme, 1, PenaltyKind.COND),
          penalty_cycles(scheme, 2, PenaltyKind.COND)], dtype=np.int64)
     count, cycles = run.cond_charges(
-        early, late, slot_arr, base_arr, slot2_extra=slot_arr.astype(bool),
+        div, slot_arr, base_arr, slot2_extra=slot_arr.astype(bool),
         late_extra=not run.config.track_not_taken_targets)
     _charge_bulk(stats, PenaltyKind.COND, count, cycles)
 
     peeks = run.replay_ras(engine.ras)
-    ret_bad = match & run.is_ret & (peeks != compiled.exit_target)
+    ret_bad = div.match & run.is_ret & (peeks != compiled.exit_target)
     for slot in (1, 2):
         in_slot = ret_bad & (slot_arr == slot - 1)
         count = int(np.count_nonzero(in_slot))
@@ -727,25 +911,16 @@ def _prep_dual(engine, fetch_input) -> tuple:
                      count * penalty_cycles(scheme, slot,
                                             PenaltyKind.RETURN))
 
-    # Bank conflicts: pairs (i+1, i+2) for every completed (i, i+1).
-    conflicts = pair_conflicts(compiled, run.geometry)
-    odd = np.arange(1, n - 1, 2, dtype=np.int64)
-    count = int(np.count_nonzero(conflicts[odd]))
+    count = _pair_conflict_count(run)
     _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, count,
                  count * penalty_cycles(scheme, 2,
                                         PenaltyKind.BANK_CONFLICT))
-
-    run.match = match
-    run.near_ok = match & (walk.src == SRC_NEAR)
-    run.mf = run.misfetch_kinds()
     return run, stats
-
 
 
 def _residual_dual(engine, run: _Run, stats: FetchStats) -> None:
     """Select table (pairs anchored at even blocks) + dual targets."""
     compiled = run.compiled
-    n = run.n
     width = run.width
     double = engine.double
     cycles = partial(_slot_cycles, penalty_cycles,
@@ -753,44 +928,41 @@ def _residual_dual(engine, run: _Run, stats: FetchStats) -> None:
     select = engine.select
     entries = select._entries
     # The anchor's own (first-block) selection exists only under double
-    # selection; both halves are written only once the pair completes.
-    even = np.arange(0, n, 2, dtype=np.int64)
-    paired = even + 1 < n
-    seconds = even[paired] + 1
-    ones = np.ones(len(seconds), dtype=bool)
-    if double:
+    # selection and is written only once the pair completes; the second
+    # block's stream is the same under both schemes.
+    streams = [(0, True), (1, False)] if double else [(1, False)]
+    if _is_fresh(entries):
+        tables = None
+    elif double:
         tables = [[None if e is None else e.first for e in entries],
                   [None if e is None else e.second for e in entries]]
-        blocks = np.concatenate([even, seconds])
-        table_of = np.concatenate([np.zeros(len(even), dtype=np.int64),
-                                   ones.astype(np.int64)])
-        writes = np.concatenate([paired, ones])
     else:
         tables = [entries]
-        blocks = seconds
-        table_of = np.zeros(len(seconds), dtype=np.int64)
-        writes = ones
-    final = _select_residual(run, stats, select, tables, blocks, table_of,
-                             writes, 2, double, cycles)
-    size = len(entries)
-    for k, v in final.items():
-        if k >= size:
-            continue
-        if double:
-            entries[k] = DualSelectEntry(
-                _decode_select_entry(width, v),
-                _decode_select_entry(width, final[k + size]))
-        else:
-            entries[k] = _decode_select_entry(width, v)
+    final = _select_residual(run, stats, _DUAL, select, streams, tables,
+                             double, cycles)
+    decode = partial(_decode_select_entry, width)
+    if double:
+        # Both halves are written at the same (completed-pair) anchors.
+        (keys, firsts), (_, seconds) = final
+        for k, a, b in zip(keys.tolist(), firsts.tolist(),
+                           seconds.tolist()):
+            entries[k] = DualSelectEntry(decode(a), decode(b))
+    else:
+        keys, values = final[0]
+        for k, v in zip(keys.tolist(), values.tolist()):
+            entries[k] = decode(v)
 
     targets = engine.targets
-    todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
-    slot = todo % 2
+
+    def events():
+        todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
+        slot = todo % 2
+        return todo, slot, compiled.line0[todo - slot]
+
     _target_residual(
-        run, stats, targets,
+        run, stats, _DUAL, targets,
         [targets.first, targets.second]
-        if type(targets) is DualNLSTargetArray else None,
-        todo, slot, compiled.line0[todo - slot], cycles)
+        if type(targets) is DualNLSTargetArray else None, events, cycles)
 
 
 # ----------------------------------------------------------------------
@@ -803,6 +975,42 @@ def run_multi_fast(engine, fetch_input) -> FetchStats:
     if run.n:
         _residual_multi(engine, run, stats)
     return stats
+
+
+def _bank_claims(run: _Run, group: int) -> np.ndarray:
+    """Bank claim-set conflicts per fetch slot (index 1..group).
+
+    Claim sets run over each group fetched together (a+1..a+n); they
+    depend only on line geometry, so they are derived once per front.
+    """
+    def counts() -> np.ndarray:
+        n = run.n
+        line0 = run.compiled.line0.tolist()
+        n_banks = run.geometry.n_banks
+        self_aligned = run.geometry.kind == SELF_ALIGNED
+        out = np.zeros(group + 2, dtype=np.int64)
+        for a in range(0, n, group):
+            claimed_lines = set()
+            claimed_banks = set()
+            slot_i = 0
+            for b in range(a + 1, min(a + group + 1, n)):
+                slot_i += 1
+                first = line0[b]
+                lines = (first, first + 1) if self_aligned else (first,)
+                conflict = False
+                for line in lines:
+                    if line in claimed_lines:
+                        continue
+                    bank_of = line % n_banks
+                    if bank_of in claimed_banks:
+                        conflict = True
+                    else:
+                        claimed_lines.add(line)
+                        claimed_banks.add(bank_of)
+                if conflict and slot_i >= 2:
+                    out[slot_i] += 1
+        return _frozen(out)
+    return run.derive(("bank-claims", group), counts)
 
 
 def _prep_multi(engine, fetch_input) -> tuple:
@@ -819,26 +1027,24 @@ def _prep_multi(engine, fetch_input) -> tuple:
     stats = _empty_stats(
         run.trace, n,
         base_cycles=1 + (n - 2 + group) // group if n > 1 else 1)
-    run.match = None
     if n == 0:
         return run, stats
     scheme = DOUBLE_SELECT if engine.double else SINGLE_SELECT
     run.resolve()
-    walk = run.walk
 
-    match, early, late = run.classify()
+    div = run.classify()
     slot_arr = np.arange(n, dtype=np.int64) % group  # slot - 1
     max_slot = group
     base_arr = np.array(
         [penalty_cycles_slot(scheme, s, PenaltyKind.COND)
          for s in range(1, max_slot + 1)], dtype=np.int64)
     count, cycles = run.cond_charges(
-        early, late, slot_arr, base_arr, slot2_extra=slot_arr >= 1,
+        div, slot_arr, base_arr, slot2_extra=slot_arr >= 1,
         late_extra=not run.config.track_not_taken_targets)
     _charge_bulk(stats, PenaltyKind.COND, count, cycles)
 
     peeks = run.replay_ras(engine.ras)
-    ret_bad = match & run.is_ret & (peeks != compiled.exit_target)
+    ret_bad = div.match & run.is_ret & (peeks != compiled.exit_target)
     for slot in range(1, max_slot + 1):
         in_slot = ret_bad & (slot_arr == slot - 1)
         count = int(np.count_nonzero(in_slot))
@@ -846,51 +1052,19 @@ def _prep_multi(engine, fetch_input) -> tuple:
                      count * penalty_cycles_slot(scheme, slot,
                                                  PenaltyKind.RETURN))
 
-    # Bank claim sets over each group fetched together (a+1..a+n);
-    # depends only on line geometry, so it belongs to the front half.
-    bank = [0] + [penalty_cycles_slot(scheme, s,
-                                      PenaltyKind.BANK_CONFLICT)
-                  for s in range(1, group + 2)]
-    line0 = compiled.line0.tolist()
-    n_banks = run.geometry.n_banks
-    self_aligned = run.geometry.kind == SELF_ALIGNED
-    bank_count = 0
-    bank_cycles = 0
-    for a in range(0, n, group):
-        claimed_lines = set()
-        claimed_banks = set()
-        slot_i = 0
-        for b in range(a + 1, min(a + group + 1, n)):
-            slot_i += 1
-            first = line0[b]
-            lines = (first, first + 1) if self_aligned else (first,)
-            conflict = False
-            for line in lines:
-                if line in claimed_lines:
-                    continue
-                bank_of = line % n_banks
-                if bank_of in claimed_banks:
-                    conflict = True
-                else:
-                    claimed_lines.add(line)
-                    claimed_banks.add(bank_of)
-            if conflict and slot_i >= 2:
-                bank_count += 1
-                bank_cycles += bank[slot_i]
-    _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, bank_count, bank_cycles)
-
-    run.match = match
-    run.near_ok = match & (walk.src == SRC_NEAR)
-    run.mf = run.misfetch_kinds()
+    bank = np.array([0] + [penalty_cycles_slot(scheme, s,
+                                               PenaltyKind.BANK_CONFLICT)
+                           for s in range(1, group + 2)], dtype=np.int64)
+    _charge_counts(stats, PenaltyKind.BANK_CONFLICT,
+                   _bank_claims(run, group), bank)
     return run, stats
-
 
 
 def _residual_multi(engine, run: _Run, stats: FetchStats) -> None:
     """Select tables (one per predicted slot) + per-slot targets."""
     compiled = run.compiled
-    n = run.n
     group = engine.n
+    layout = _Layout("multi", group, False)
     double = engine.double
     cycles = partial(_slot_cycles, penalty_cycles_slot,
                      DOUBLE_SELECT if double else SINGLE_SELECT, group)
@@ -899,30 +1073,32 @@ def _residual_multi(engine, run: _Run, stats: FetchStats) -> None:
         # Table t verifies the blocks at group offset t (double: the
         # anchor's own selection is t = 0) and overwrites every time.
         offset = 0 if double else 1
-        parts = [np.arange(t + offset, n, group, dtype=np.int64)
-                 for t in range(len(selects))]
-        blocks = np.concatenate(parts)
-        table_of = np.concatenate(
-            [np.full(len(p), t, dtype=np.int64) for t, p in enumerate(parts)])
+        entries = [t._entries for t in selects]
+        tables = None if all(_is_fresh(e) for e in entries) else entries
         final = _select_residual(
-            run, stats, selects[0], [t._entries for t in selects], blocks,
-            table_of, np.ones(len(blocks), dtype=bool), group, double,
-            cycles)
-        size = len(selects[0]._entries)
-        for k, v in final.items():
-            selects[k // size]._entries[k % size] = \
-                _decode_select_entry(run.width, v)
+            run, stats, layout, selects[0],
+            [(t + offset, False) for t in range(len(selects))], tables,
+            double, cycles)
+        decode = partial(_decode_select_entry, run.width)
+        for table, (keys, values) in zip(entries, final):
+            for k, v in zip(keys.tolist(), values.tolist()):
+                table[k] = decode(v)
 
-    todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
-    slot = todo % group
-    _target_residual(
-        run, stats, engine.targets, engine.targets._arrays, todo, slot,
-        compiled.line0[todo - slot], cycles)
+    def events():
+        todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
+        slot = todo % group
+        return todo, slot, compiled.line0[todo - slot]
+
+    _target_residual(run, stats, layout, engine.targets,
+                     engine.targets._arrays, events, cycles)
 
 
 # ----------------------------------------------------------------------
 # Two-block-ahead engine
 # ----------------------------------------------------------------------
+
+_TWO_AHEAD = _Layout("two_ahead", 2, True)
+
 
 def run_two_ahead_fast(engine, fetch_input) -> FetchStats:
     """Vectorized :meth:`TwoBlockAheadEngine.run`."""
@@ -938,14 +1114,12 @@ def _prep_two_ahead(engine, fetch_input) -> tuple:
     compiled = run.compiled
     n = run.n
     stats = _empty_stats(run.trace, n, base_cycles=1 + n // 2)
-    run.match = None
     if n == 0:
         return run, stats
     scheme = SINGLE_SELECT
     run.resolve()
-    walk = run.walk
 
-    match, early, late = run.classify()
+    div = run.classify()
     # Pairs are (odd, even): odd indices are slot 1, even are slot 2.
     index = np.arange(n, dtype=np.int64)
     slot_arr = (index % 2 == 0).astype(np.int64)  # 0=slot1, 1=slot2
@@ -953,12 +1127,12 @@ def _prep_two_ahead(engine, fetch_input) -> tuple:
         [penalty_cycles(scheme, 1, PenaltyKind.COND),
          penalty_cycles(scheme, 2, PenaltyKind.COND)], dtype=np.int64)
     count, cycles = run.cond_charges(
-        early, late, slot_arr, base_arr, slot2_extra=slot_arr.astype(bool),
+        div, slot_arr, base_arr, slot2_extra=slot_arr.astype(bool),
         late_extra=False)
     _charge_bulk(stats, PenaltyKind.COND, count, cycles)
 
     peeks = run.replay_ras(engine.ras)
-    ret_bad = match & run.is_ret & (peeks != compiled.exit_target)
+    ret_bad = div.match & run.is_ret & (peeks != compiled.exit_target)
     for slot in (1, 2):
         in_slot = ret_bad & (slot_arr == slot - 1)
         count = int(np.count_nonzero(in_slot))
@@ -971,16 +1145,10 @@ def _prep_two_ahead(engine, fetch_input) -> tuple:
         _charge_bulk(stats, PenaltyKind.MISSELECT, count,
                      count * engine.serialization_penalty)
 
-    conflicts = pair_conflicts(compiled, run.geometry)
-    odd = np.arange(1, n - 1, 2, dtype=np.int64)
-    count = int(np.count_nonzero(conflicts[odd]))
+    count = _pair_conflict_count(run)
     _charge_bulk(stats, PenaltyKind.BANK_CONFLICT, count,
                  count * penalty_cycles(scheme, 2,
                                         PenaltyKind.BANK_CONFLICT))
-
-    run.match = match
-    run.near_ok = match & (walk.src == SRC_NEAR)
-    run.mf = run.misfetch_kinds()
     return run, stats
 
 
@@ -988,10 +1156,13 @@ def _residual_two_ahead(engine, run: _Run, stats: FetchStats) -> None:
     """Dual NLS targets indexed by each block's ahead (anchor) line."""
     compiled = run.compiled
     targets = engine.targets
-    todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
-    # Pairs are (odd, even): odd blocks are slot 1, even blocks slot 2.
-    slot = (todo % 2 == 0).astype(np.int64)
+
+    def events():
+        todo = np.nonzero(compiled.has_exit & ~run.is_ret)[0]
+        # Pairs are (odd, even): odd blocks are slot 1, even blocks slot 2.
+        slot = (todo % 2 == 0).astype(np.int64)
+        return todo, slot, run.anchor_start[todo] // run.line_size
+
     _target_residual(
-        run, stats, targets, [targets.first, targets.second], todo, slot,
-        run.anchor_start[todo] // run.line_size,
-        partial(_slot_cycles, penalty_cycles, SINGLE_SELECT, 2))
+        run, stats, _TWO_AHEAD, targets, [targets.first, targets.second],
+        events, partial(_slot_cycles, penalty_cycles, SINGLE_SELECT, 2))

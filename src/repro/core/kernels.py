@@ -663,7 +663,8 @@ def stale_bit_windows(compiled: CompiledBlocks, line_size: int,
 # ----------------------------------------------------------------------
 
 def replay_last_write(keys: np.ndarray, values: np.ndarray,
-                      writes: np.ndarray, init: np.ndarray
+                      writes: np.ndarray, init: np.ndarray,
+                      order: Optional[np.ndarray] = None
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replay a keyed observe-then-maybe-write event stream.
 
@@ -682,12 +683,15 @@ def replay_last_write(keys: np.ndarray, values: np.ndarray,
     group events by key with a stable sort, then resolve each
     observation to the latest preceding write inside its key segment —
     the same segmented-maximum idiom as :func:`stale_bit_windows`.
+    A caller that already holds that grouping passes it as ``order``:
+    a stable argsort of ``keys`` (ascending keys, time order within).
     """
     m = int(keys.shape[0])
     if m == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
-    order = _grouping_order(keys)
+    if order is None:
+        order = _grouping_order(keys)
     k_s = keys[order]
     w_s = writes[order]
     v_s = values[order]

@@ -169,13 +169,6 @@ REGISTRY: Tuple[EnvVar, ...] = (
         owner="repro.cpu.tracer_mode",
     ),
     EnvVar(
-        name="REPRO_TRACE_CACHE",
-        summary="Legacy flat trace-cache directory, still honoured "
-                "alongside the digest-keyed REPRO_CACHE_DIR cache.",
-        default="disabled",
-        owner="repro.workloads.base",
-    ),
-    EnvVar(
         name="REPRO_TRACE_CHUNK",
         summary="Records per compressed chunk when traces are captured "
                 "in streaming mode (bounds peak capture memory).",

@@ -42,20 +42,27 @@ def run_fig8(history_lengths: Iterable[int] = DEFAULT_HISTORY,
     """Reproduce Figure 8's sweep (dual-block engine, normal cache)."""
     budget = budget or instruction_budget()
     geometry = CacheGeometry.normal(8)
-    points = [(suite, selection, h, n_st)
-              for suite in SUITES
-              for selection in (SINGLE_SELECT, DOUBLE_SELECT)
-              for h in history_lengths
-              for n_st in table_counts]
-    aggregates = run_suite_batch([
+    history_lengths = tuple(history_lengths)
+    table_counts = tuple(table_counts)
+    selections = (SINGLE_SELECT, DOUBLE_SELECT)
+    # Cells run history-major: the eight configurations of one PHT
+    # front (selection x #ST) follow each other, so a worker that takes
+    # the back of a program's cells shares at most one front with the
+    # worker running the front of them.
+    runs = [(suite, selection, h, n_st)
+            for suite in SUITES
+            for h in history_lengths
+            for selection in selections
+            for n_st in table_counts]
+    aggregates = dict(zip(runs, run_suite_batch([
         SuiteSpec(suite=suite,
                   config=EngineConfig(geometry=geometry,
                                       history_length=h,
                                       n_select_tables=n_st,
                                       selection=selection),
                   budget=budget)
-        for suite, selection, h, n_st in points], label="fig8",
-        jobs=jobs)
+        for suite, selection, h, n_st in runs], label="fig8",
+        jobs=jobs)))
     return [Fig8Row(
         suite=suite,
         selection=selection,
@@ -63,7 +70,11 @@ def run_fig8(history_lengths: Iterable[int] = DEFAULT_HISTORY,
         n_select_tables=n_st,
         ipc_f=agg.ipc_f,
         bep=agg.bep,
-    ) for (suite, selection, h, n_st), agg in zip(points, aggregates)]
+    ) for suite in SUITES
+        for selection in selections
+        for h in history_lengths
+        for n_st in table_counts
+        for agg in (aggregates[suite, selection, h, n_st],)]
 
 
 def format_fig8(rows: List[Fig8Row]) -> str:

@@ -30,9 +30,14 @@ driver (:func:`run_sweep_loop`) and the discrete-event testbed of
 (``shard % n_workers == worker``; a single shard is everyone's home) in
 FIFO order and, when those are empty, **steals from the longest
 remaining queue** (ties to the lowest shard id) so one straggler shard
-cannot serialize the sweep.  Every steal is recorded with a queue-depth
-snapshot, which is how the sim asserts the steal policy as an invariant
-rather than trusting it.
+cannot serialize the sweep.  Without groups a steal takes that queue's
+next cell.  With groups it takes the queue's last group that no worker
+has started, whole, so a program's shared fronts stay on one worker;
+only when every group left there has started does it split the last
+one from the back, and once every queue is empty an idle worker splits
+the longest group another worker stole, from the back.  Every steal is
+recorded with a queue-depth snapshot, which is how the sim asserts the
+steal policy as an invariant rather than trusting it.
 
 Fault recovery is :mod:`repro.runtime.resilience`'s: with several
 workers the driver runs each slot on a single-worker process pool, with
@@ -256,6 +261,9 @@ class StealRecord:
     cell: int
     shard: int                 #: victim shard the cell was taken from
     depths: Tuple[int, ...]    #: per-shard queue depth at steal time
+    #: Worker whose stolen group the cell was split from (queues empty),
+    #: or ``None`` for a steal from a shard queue.
+    split_from: Optional[int] = None
 
 
 class ShardStateError(RuntimeError):
@@ -270,14 +278,17 @@ class ShardScheduler:
     the discrete-event testbed (:mod:`repro.runtime.sim`) runs this
     exact class under a virtual clock.  The scheduler owns per-shard
     FIFO queues, the retry/backoff bookkeeping of the ``outcomes`` it is
-    given, and the steal audit trail; callers own execution.
+    given, the groups workers stole, and the steal audit trail; callers
+    own execution.
 
     Dispatch order is deterministic given the plan, the pending set and
     the sequence of ``acquire``/``complete``/``fail`` calls: queues start
-    in the plan's :meth:`~ShardPlan.drain_order`, home shards
-    are scanned in ascending id, steals take from the longest queue with
-    ties to the lowest shard id, and deferred retries re-enter their
-    home queue in ``(ready_at, cell)`` order.
+    in the plan's :meth:`~ShardPlan.drain_order`, a worker finishes a
+    group it stole before anything else, home shards are scanned in
+    ascending id, steals take from the longest queue with ties to the
+    lowest shard id (then from the longest stolen group, ties to the
+    lowest worker id), and deferred retries re-enter their home queue
+    in ``(ready_at, cell)`` order.
     """
 
     def __init__(self, plan: ShardPlan, pending: Sequence[int],
@@ -301,6 +312,10 @@ class ShardScheduler:
         self._inflight: Dict[int, Assignment] = {}
         self._completed: set = set()
         self._failed: set = set()
+        #: Per worker, the not-yet-acquired rest of a group it stole.
+        self._adopted: Dict[int, Deque[int]] = {}
+        #: Group ranks with at least one acquired cell.
+        self._started: set = set()
         self.steals: List[StealRecord] = []
 
     # -- queue maintenance ---------------------------------------------
@@ -326,31 +341,30 @@ class ShardScheduler:
     def acquire(self, worker: int) -> Optional[Assignment]:
         """Next cell for ``worker``, or ``None`` when nothing is ready.
 
-        Home shards first (ascending id); otherwise steal from the
-        longest queue, recording the decision.  ``None`` does not mean
-        the sweep is finished — retries may still be backing off and
-        other workers may still be running (:meth:`next_ready_at`,
-        :attr:`finished`).
+        The rest of a group the worker stole first, then its home shards
+        (ascending id); otherwise steal (:meth:`_steal`), recording the
+        decision.  ``None`` does not mean the sweep is finished —
+        retries may still be backing off and other workers may still be
+        running (:meth:`next_ready_at`, :attr:`finished`).
         """
         if worker in self._inflight:
             raise ShardStateError(
                 f"worker {worker} acquired twice without completing")
         self._promote_ripe()
-        homes = self.home_shards(worker)
-        chosen = next((s for s in homes if self._queues[s]), None)
-        stolen = False
-        if chosen is None:
-            depths = tuple(len(q) for q in self._queues)
-            deepest = max(depths, default=0)
-            if deepest == 0:
-                return None
-            chosen = depths.index(deepest)
-            stolen = chosen not in homes
-            if stolen:
-                self.steals.append(StealRecord(
-                    worker=worker, cell=self._queues[chosen][0],
-                    shard=chosen, depths=depths))
-        cell = self._queues[chosen].popleft()
+        adopted = self._adopted.get(worker)
+        if adopted:
+            cell, stolen = adopted.popleft(), True
+        else:
+            chosen = next((s for s in self.home_shards(worker)
+                           if self._queues[s]), None)
+            if chosen is not None:
+                cell, stolen = self._queues[chosen].popleft(), False
+            else:
+                cell, stolen = self._steal(worker), True
+                if cell is None:
+                    return None
+        if self.plan.groups:
+            self._started.add(self.plan.groups[cell])
         outcome = self.outcomes[cell]
         attempt = outcome.attempts
         outcome.attempts += 1
@@ -365,15 +379,63 @@ class ShardScheduler:
         self._inflight[worker] = assignment
         return assignment
 
+    def _steal(self, worker: int) -> Optional[int]:
+        """Take a cell for ``worker``, whose home shards are empty."""
+        depths = tuple(len(q) for q in self._queues)
+        deepest = max(depths, default=0)
+        groups = self.plan.groups
+        if deepest == 0:
+            return self._split_adopted(worker, depths) if groups else None
+        victim = depths.index(deepest)
+        queue = self._queues[victim]
+        unstarted = next((groups[c] for c in reversed(queue)
+                          if groups[c] not in self._started),
+                         None) if groups else None
+        if unstarted is not None:
+            # Take the whole group; its rest waits for this worker.
+            taken = [c for c in queue if groups[c] == unstarted]
+            rest = [c for c in queue if groups[c] != unstarted]
+            queue.clear()
+            queue.extend(rest)
+            cell = taken[0]
+            self._adopted[worker] = deque(taken[1:])
+        elif groups:
+            cell = queue.pop()  # split a started group from the back
+        else:
+            cell = queue.popleft()
+        self.steals.append(StealRecord(worker=worker, cell=cell,
+                                       shard=victim, depths=depths))
+        return cell
+
+    def _split_adopted(self, worker: int,
+                       depths: Tuple[int, ...]) -> Optional[int]:
+        """Split the longest group another worker stole, from the back."""
+        owners = [w for w in sorted(self._adopted)
+                  if w != worker and self._adopted[w]]
+        if not owners:
+            return None
+        # max() keeps the first of equals: ties go to the lowest worker.
+        owner = max(owners, key=lambda w: len(self._adopted[w]))
+        cell = self._adopted[owner].pop()
+        self.steals.append(StealRecord(
+            worker=worker, cell=cell, shard=self.plan.assignment[cell],
+            depths=depths, split_from=owner))
+        return cell
+
     def unacquire(self, worker: int) -> None:
         """Hand a cell back unrun (e.g. the worker pool failed to spawn).
 
         The attempt is uncounted and the cell returns to the *front* of
-        its home queue, preserving FIFO order.
+        its home queue, preserving FIFO order — or, for a stolen cell of
+        a grouped plan, to the front of the worker's stolen group.
         """
         assignment = self._pop_inflight(worker)
         self.outcomes[assignment.cell].attempts -= 1
-        self._queues[assignment.shard].appendleft(assignment.cell)
+        if assignment.stolen and self.plan.groups:
+            self._adopted.setdefault(worker, deque()).appendleft(
+                assignment.cell)
+        else:
+            self._queues[assignment.shard].appendleft(assignment.cell)
 
     def abandon(self, worker: int) -> Assignment:
         """Requeue a worker's in-flight cell without judging the attempt.
@@ -435,7 +497,7 @@ class ShardScheduler:
     def has_ready(self) -> bool:
         """Whether any queue holds a cell ready to dispatch right now."""
         self._promote_ripe()
-        return any(self._queues)
+        return any(self._queues) or any(self._adopted.values())
 
     @property
     def inflight(self) -> Dict[int, Assignment]:

@@ -20,7 +20,8 @@ same spec, same event log, every time.  That turns scheduling
 * every cell completes exactly once (none lost, none duplicated), or is
   properly failed after its retry budget;
 * steals only ever take from the longest queue, and only when the
-  thief's home shards are empty — checked against the queue-depth
+  thief's home shards are empty (or split another worker's stolen group
+  only when every queue is empty) — checked against the queue-depth
   snapshot recorded at each steal, not against trust;
 * per-cell attempts never exceed ``retries + 1``;
 * on fault-free uniform-speed runs, makespan stays within the greedy
@@ -438,6 +439,13 @@ def verify_invariants(result: SimResult) -> List[str]:
                 f"(budget {spec.retries + 1})")
     for record in result.steals:
         deepest = max(record.depths)
+        if record.split_from is not None:
+            if deepest:
+                problems.append(
+                    f"steal of cell {record.cell} split worker "
+                    f"{record.split_from}'s stolen group while queues "
+                    f"{record.depths} still had work")
+            continue
         if record.depths[record.shard] != deepest or deepest == 0:
             problems.append(
                 f"steal of cell {record.cell} took from shard "

@@ -151,35 +151,18 @@ class WorkloadRegistry:
         Traces are memoised per process and, unless disabled via
         ``REPRO_CACHE_DIR``, persisted by :mod:`repro.runtime.cache` so
         repeated invocations — including parallel sweep workers — skip
-        the interpreter entirely.  The legacy ``REPRO_TRACE_CACHE``
-        directory is still honoured when set; capture-version-stamped
-        artifacts mean a scalar-era cache entry is quarantined and
-        recomputed, never served.
+        the interpreter entirely; capture-version-stamped artifacts
+        mean a scalar-era cache entry is quarantined and recomputed,
+        never served.
         """
         from ..cpu import capture_machine
         from ..runtime import cache as disk_cache, profile
-        from ..trace.record import Trace
 
         key = (name, max_instructions)
         if key not in self._traces:
             with profile.phase("trace"):
-                trace = None
-                legacy = self._disk_cache_path(name, max_instructions)
-                if legacy is not None and legacy.exists():
-                    from ..runtime.cache import READ_ERRORS
-
-                    try:
-                        trace = Trace.load(legacy)
-                    except READ_ERRORS:
-                        # A torn or version-stale legacy artifact must
-                        # not abort the sweep: fall through to the
-                        # digest-keyed cache or the tracer, then
-                        # rewrite it below.
-                        trace = None
-                        legacy.unlink(missing_ok=True)
-                if trace is None:
-                    trace = disk_cache.load_trace(name, max_instructions,
-                                                  self.digest(name))
+                trace = disk_cache.load_trace(name, max_instructions,
+                                              self.digest(name))
                 if trace is None \
                         and max_instructions >= stream_threshold():
                     trace = disk_cache.load_chunked_trace(
@@ -193,10 +176,6 @@ class WorkloadRegistry:
                         max_instructions=max_instructions).trace
                     disk_cache.store_trace(trace, name, max_instructions,
                                            self.digest(name))
-                if legacy is not None and not legacy.exists() \
-                        and isinstance(trace, Trace):
-                    legacy.parent.mkdir(parents=True, exist_ok=True)
-                    trace.save(legacy)
                 self._traces[key] = trace
         return self._traces[key]
 
@@ -233,17 +212,6 @@ class WorkloadRegistry:
             writer.close(executed, truncated=truncated)
         disk_cache.seal_chunked_trace(path)
         return ChunkedTrace(path)
-
-    @staticmethod
-    def _disk_cache_path(name: str, max_instructions: int):
-        from pathlib import Path
-
-        from .. import envvars
-
-        root = envvars.read("REPRO_TRACE_CACHE")
-        if not root:
-            return None
-        return Path(root) / f"{name}-{max_instructions}.npz"
 
     def clear_caches(self) -> None:
         """Drop cached programs, traces and digests (tests)."""

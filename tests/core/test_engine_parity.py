@@ -325,3 +325,189 @@ def test_front_entries_are_compact_and_read_only(monkeypatch):
         with pytest.raises(ValueError):
             array[:1] = 0
 
+
+
+# ----------------------------------------------------------------------
+# Shared residual replays: fresh tables only, never across layouts
+# ----------------------------------------------------------------------
+
+def _shared_run(factory, config, fetch_input, monkeypatch, engine=None):
+    """Fast run (on ``engine`` if given) and its shared-residual tallies.
+
+    Returns ``(stats, state, select, target)``, each tally a
+    ``(shared, replayed)`` delta of :func:`fast.residual_lookups`.
+    """
+    monkeypatch.setenv(ENGINE_ENV, "fast")
+    engine = engine if engine is not None else factory(config)
+    before = fast.residual_lookups()
+    stats = engine.run(fetch_input)
+    after = fast.residual_lookups()
+    select, target = (tuple(a - b for a, b in zip(after[k], before[k]))
+                      for k in ("select", "target"))
+    return stats, engine_state(engine), select, target
+
+
+def _scalar_runs(factory, config, fetch_input, monkeypatch, times=1):
+    monkeypatch.setenv(ENGINE_ENV, "scalar")
+    engine = factory(config)
+    stats = [engine.run(fetch_input) for _ in range(times)]
+    return stats, engine_state(engine)
+
+
+def _fresh_input(workload="li"):
+    fast.clear_front_cache()
+    return load_fetch_input(workload, GEOMETRIES["normal"], BUDGET)
+
+
+_OTHER = {"single": DOUBLE_SELECT, DOUBLE_SELECT: "single"}
+
+
+@pytest.mark.parametrize("n_tables", [1, 2, 4, 8])
+@pytest.mark.parametrize("selection", ["single", DOUBLE_SELECT])
+def test_dual_residual_shared_across_selection(selection, n_tables,
+                                               monkeypatch):
+    """B (this scheme) after A (the other scheme, same #ST) reuses A's
+    second-block stream and target replay, and still equals scalar B."""
+    fetch_input = _fresh_input()
+    geometry = GEOMETRIES["normal"]
+    config_a = _config(geometry, selection=_OTHER[selection],
+                       n_select_tables=n_tables)
+    config_b = _config(geometry, selection=selection,
+                       n_select_tables=n_tables)
+    _shared_run(DualBlockEngine, config_a, fetch_input, monkeypatch)
+    stats, state, select, target = _shared_run(
+        DualBlockEngine, config_b, fetch_input, monkeypatch)
+    assert select == ((1, 0) if selection == "single" else (1, 1))
+    assert target == (1, 0)
+    (scalar_stats,), scalar_state = _scalar_runs(
+        DualBlockEngine, config_b, fetch_input, monkeypatch)
+    assert stats == scalar_stats
+    assert state == scalar_state
+
+
+@pytest.mark.parametrize("selection", ["single", DOUBLE_SELECT])
+def test_multi_residual_shared_across_selection(selection, monkeypatch):
+    """Multi-3 streams at offsets 1 and 2 serve both schemes."""
+    factory = FRONT_PAIRS["multi-3"][0]
+    fetch_input = _fresh_input()
+    geometry = GEOMETRIES["normal"]
+    _shared_run(factory, _config(geometry, selection=_OTHER[selection]),
+                fetch_input, monkeypatch)
+    config_b = _config(geometry, selection=selection)
+    stats, state, select, target = _shared_run(factory, config_b,
+                                               fetch_input, monkeypatch)
+    assert select == ((2, 0) if selection == "single" else (2, 1))
+    assert target == (1, 0)
+    (scalar_stats,), scalar_state = _scalar_runs(factory, config_b,
+                                                 fetch_input, monkeypatch)
+    assert (stats, state) == (scalar_stats, scalar_state)
+
+
+def test_two_ahead_targets_shared(monkeypatch):
+    fetch_input = _fresh_input()
+    geometry = GEOMETRIES["normal"]
+    _shared_run(TwoBlockAheadEngine, _config(geometry, n_select_tables=1),
+                fetch_input, monkeypatch)
+    config_b = _config(geometry, n_select_tables=8)
+    stats, state, select, target = _shared_run(
+        TwoBlockAheadEngine, config_b, fetch_input, monkeypatch)
+    assert (select, target) == ((0, 0), (1, 0))
+    (scalar_stats,), scalar_state = _scalar_runs(
+        TwoBlockAheadEngine, config_b, fetch_input, monkeypatch)
+    assert (stats, state) == (scalar_stats, scalar_state)
+
+
+def test_multi_group_sizes_share_the_walk_but_not_the_residual(
+        monkeypatch):
+    """Multi n=2 and n=3 resolve one walk front but lay out slots
+    differently, so n=2 must replay its own tables."""
+    fetch_input = _fresh_input()
+    geometry = GEOMETRIES["normal"]
+    config = _config(geometry, selection=DOUBLE_SELECT)
+    _shared_run(lambda c: MultiBlockEngine(c, 3), config, fetch_input,
+                monkeypatch)
+    hits_before = fast.front_lookups()[0]
+    stats, state, select, target = _shared_run(
+        lambda c: MultiBlockEngine(c, 2), config, fetch_input, monkeypatch)
+    assert fast.front_lookups()[0] - hits_before == 2  # walk and RAS
+    assert (select, target) == ((0, 2), (0, 1))
+    (scalar_stats,), scalar_state = _scalar_runs(
+        lambda c: MultiBlockEngine(c, 2), config, fetch_input, monkeypatch)
+    assert (stats, state) == (scalar_stats, scalar_state)
+
+
+def test_target_shape_is_part_of_the_key(monkeypatch):
+    fetch_input = _fresh_input()
+    geometry = GEOMETRIES["normal"]
+    _shared_run(DualBlockEngine, _config(geometry), fetch_input,
+                monkeypatch)
+    config_b = _config(geometry, target_entries=128)
+    stats, state, select, target = _shared_run(
+        DualBlockEngine, config_b, fetch_input, monkeypatch)
+    assert (select, target) == ((1, 0), (0, 1))
+    (scalar_stats,), scalar_state = _scalar_runs(
+        DualBlockEngine, config_b, fetch_input, monkeypatch)
+    assert (stats, state) == (scalar_stats, scalar_state)
+
+
+@pytest.mark.parametrize("engine_name", ["dual-double", "multi-3-double",
+                                         "two-ahead"])
+def test_warm_tables_replay_afresh(engine_name, monkeypatch):
+    """A second run on one engine starts from trained tables: it shares
+    the (identical) front but none of the residual results."""
+    factory, cfg_kw = ENGINES[engine_name]
+    fetch_input = _fresh_input()
+    config = _config(GEOMETRIES["normal"], **cfg_kw)
+    monkeypatch.setenv(ENGINE_ENV, "fast")
+    engine = factory(config)
+    first = _shared_run(factory, config, fetch_input, monkeypatch, engine)
+    second = _shared_run(factory, config, fetch_input, monkeypatch, engine)
+    assert first[2][0] == first[3][0] == 0
+    assert second[2][0] == second[3][0] == 0
+    assert second[2][1] == first[2][1] and second[3] == (0, 1)
+    scalar_stats, scalar_state = _scalar_runs(factory, config, fetch_input,
+                                              monkeypatch, times=2)
+    assert [first[0], second[0]] == scalar_stats
+    assert second[1] == scalar_state
+
+
+def test_shared_residuals_are_read_only(monkeypatch):
+    fetch_input = _fresh_input()
+    geometry = GEOMETRIES["normal"]
+    for selection in ("single", DOUBLE_SELECT):
+        _shared_run(DualBlockEngine,
+                    _config(geometry, selection=selection), fetch_input,
+                    monkeypatch)
+    fronts = [f for f in fast._front.values()
+              if isinstance(f, fast._WalkFront)]
+    assert len(fronts) == 1
+    derived = fronts[0].derived
+    kinds = {key[0] for key in derived}
+    assert {"divergence", "select", "select-order", "target"} <= kinds
+    arrays = []
+    for value in derived.values():
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif hasattr(value, "__dataclass_fields__"):
+            arrays += [getattr(value, name) for name in
+                       value.__dataclass_fields__
+                       if isinstance(getattr(value, name), np.ndarray)]
+    assert len(arrays) >= 10
+    for array in arrays:
+        assert not isinstance(array, list)
+        with pytest.raises(ValueError):
+            array[:1] = 0
+
+
+def test_clear_caches_drops_shared_residuals(tmp_path, monkeypatch):
+    from repro.workloads import clear_caches
+
+    fetch_input = _fresh_input()
+    config = _config(GEOMETRIES["normal"])
+    _shared_run(DualBlockEngine, config, fetch_input, monkeypatch)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    clear_caches()
+    assert not fast._front
+    _, _, select, target = _shared_run(DualBlockEngine, config,
+                                       fetch_input, monkeypatch)
+    assert (select, target) == ((0, 1), (0, 1))

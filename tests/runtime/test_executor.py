@@ -139,3 +139,29 @@ def test_serial_fig8_resolves_one_front_per_program_and_history():
     # replay per program (the RAS does not depend on the history).
     assert new_misses - misses == len(SPEC95) * (len(DEFAULT_HISTORY) + 1)
     assert new_hits > new_misses - misses
+
+
+def test_serial_fig8_replays_fresh_tables_once_per_front():
+    """Each front replays its target array once and, per select-table
+    count, the second-block stream once (shared by both schemes) and the
+    double-selection first-block stream once."""
+    from repro.core import fast
+    from repro.experiments.fig8 import (DEFAULT_HISTORY, DEFAULT_TABLES,
+                                        run_fig8)
+    from repro.workloads import SPEC95
+
+    fast.clear_front_cache()
+    before = fast.residual_lookups()
+    run_fig8(budget=2_000, jobs=1)
+    after = fast.residual_lookups()
+    select, target = (
+        tuple(a - b for a, b in zip(after[kind], before[kind]))
+        for kind in ("select", "target"))
+    fronts = len(SPEC95) * len(DEFAULT_HISTORY)
+    configs = 2 * len(DEFAULT_TABLES)
+    # (shared, replayed): 576 select-stream replays where every cell
+    # replaying its own streams would make 864; 72 target replays
+    # where it would make 576.
+    assert select == (fronts * len(DEFAULT_TABLES),
+                      fronts * 2 * len(DEFAULT_TABLES)) == (288, 576)
+    assert target == (fronts * (configs - 1), fronts) == (504, 72)

@@ -322,6 +322,84 @@ class TestScheduler:
         assert sched.remaining() == []
 
 
+def _grouped_scheduler(keys):
+    """Two workers over a 2-shard ``range`` plan of keyed cells."""
+    cells = list(range(len(keys)))
+    plan = partition(cells, 2, "range", groups=keys)
+    outcomes = [CellOutcome(i) for i in cells]
+    return ShardScheduler(plan, cells, 2, 1, clock=lambda: 0.0,
+                          outcomes=outcomes), outcomes
+
+
+class TestGroupedSteal:
+    """Grouped plans steal whole groups, so fronts stay on one worker."""
+
+    # Shard 0 holds groups a (cells 0-2) and b (3-5), shard 1 group c.
+    KEYS = ["a"] * 3 + ["b"] * 3 + ["c"] * 2
+
+    def _drain_home(self, sched, worker, cells):
+        for cell in cells:
+            assert sched.acquire(worker).cell == cell
+            sched.complete(worker)
+
+    def test_steals_last_unstarted_group_whole(self):
+        sched, _ = _grouped_scheduler(self.KEYS)
+        assert sched.acquire(0).cell == 0  # group a has started
+        self._drain_home(sched, 1, [6, 7])
+        stolen = sched.acquire(1)
+        assert (stolen.cell, stolen.stolen) == (3, True)
+        assert [(r.cell, r.shard, r.depths) for r in sched.steals] \
+            == [(3, 0, (5, 0))]
+        sched.complete(1)
+        # The rest of group b belongs to the thief: no further steal.
+        rest = sched.acquire(1)
+        assert (rest.cell, rest.stolen) == (4, True)
+        assert len(sched.steals) == 1
+        sched.complete(0)
+        self._drain_home(sched, 0, [1, 2])
+        # Every queue is empty: the idle worker splits the thief's
+        # group from the back.
+        split = sched.acquire(0)
+        assert split.cell == 5
+        assert sched.steals[-1].split_from == 1
+        assert sched.steals[-1].depths == (0, 0)
+        sched.complete(0)
+        sched.complete(1)
+        assert sched.acquire(1) is None
+        assert sched.finished
+
+    def test_splits_started_group_from_the_back(self):
+        sched, _ = _grouped_scheduler(["a"] * 4 + ["c"])
+        assert sched.acquire(0).cell == 0
+        self._drain_home(sched, 1, [4])
+        assert sched.acquire(1).cell == 3
+        sched.complete(1)
+        assert sched.acquire(1).cell == 2
+        assert [r.split_from for r in sched.steals] == [None, None]
+        sched.complete(0)
+        assert sched.acquire(0).cell == 1
+
+    def test_unacquired_stolen_cell_returns_to_the_thief(self):
+        sched, outcomes = _grouped_scheduler(self.KEYS)
+        sched.acquire(0)
+        self._drain_home(sched, 1, [6, 7])
+        stolen = sched.acquire(1)
+        sched.unacquire(1)
+        assert outcomes[stolen.cell].attempts == 0
+        again = sched.acquire(1)
+        assert (again.cell, again.attempt) == (stolen.cell, 0)
+        assert len(sched.steals) == 1
+
+    def test_ungrouped_steal_takes_the_queue_front(self):
+        sched, _ = _scheduler()
+        for _ in range(4):
+            sched.acquire(1)
+            sched.complete(1)
+        stolen = sched.acquire(1)
+        assert stolen.cell == sched.plan.cells_in(stolen.shard)[0]
+        assert sched.steals[0].split_from is None
+
+
 class TestShardedExecution:
     def test_sharded_matches_serial_bit_exact(self):
         serial = run_resilient(_square, CELLS, jobs=1)

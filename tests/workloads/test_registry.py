@@ -100,36 +100,6 @@ class TestRegistryClass:
         assert reg.program("t") is not first
 
 
-class TestDiskCache:
-    def test_trace_persisted_and_reloaded(self, tmp_path, monkeypatch):
-        import numpy as np
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        reg = WorkloadRegistry()
-        from repro.isa import ProgramBuilder
-
-        def build():
-            b = ProgramBuilder(name="cached")
-            with b.function("main"):
-                with b.for_range("r3", 0, 50):
-                    b.asm.addi("r4", "r4", 1)
-            return b.build()
-
-        reg.register("cached", "int", "d")(build)
-        first = reg.trace("cached", 2_000)
-        assert (tmp_path / "cached-2000.npz").exists()
-        # A fresh registry (new process stand-in) loads from disk.
-        reg2 = WorkloadRegistry()
-        reg2.register("cached", "int", "d")(build)
-        second = reg2.trace("cached", 2_000)
-        assert second.n_instructions == first.n_instructions
-        np.testing.assert_array_equal(second.pc, first.pc)
-
-    def test_disabled_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        reg = WorkloadRegistry()
-        assert reg._disk_cache_path("x", 10) is None
-
-
 def test_clear_caches_drops_shared_pht_fronts(tmp_path, monkeypatch):
     """No run after a clear may replay a front resolved before it."""
     from repro.core import fast
